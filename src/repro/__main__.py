@@ -37,6 +37,11 @@ from repro.compiler import (
     emit_c_program,
     restructure_program,
 )
+from repro.obs.compare import (
+    DEFAULT_WALL_ABS_FLOOR,
+    DEFAULT_WALL_TOL,
+    point_key,
+)
 
 
 def _build(name: str, n=None, time_steps=None):
@@ -52,48 +57,26 @@ def _split_csv(text: str):
 
 # -- argument validation (one-line errors, applied by argparse) --------------
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bounded(cast, what: str, low, strict: bool = False):
+    """An argparse ``type`` parsing ``cast`` values that must be
+    ``>= low`` (``> low`` when ``strict``)."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {what}, got {text!r}")
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {value}")
+        return value
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {text!r}")
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+_positive_int = _bounded(int, "an integer", 1)
+_nonneg_int = _bounded(int, "an integer", 0)
+_positive_float = _bounded(float, "a number", 0, strict=True)
+_nonneg_float = _bounded(float, "a number", 0)
 
 
 def _procs_csv(text: str):
@@ -328,11 +311,7 @@ def cmd_profile(args) -> int:
     if args.json:
         from repro.report import profile_as_dict
 
-        text = json.dumps(profile_as_dict(res), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "profile JSON")
+        _emit_json(args.json, profile_as_dict(res), "profile JSON")
     if args.output:
         if args.format == "chrome":
             try:
@@ -359,6 +338,28 @@ def _write_text(path: str, text: str, what: str) -> None:
     except OSError as exc:
         raise SystemExit(f"cannot write {what} to {path}: {exc}")
     print(f"\nwrote {what} to {path}")
+
+
+def _emit_json(dest: str, payload, what: str) -> None:
+    """``--json [PATH]``: the payload to stdout for ``-``, else to PATH."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    if dest == "-":
+        print(text)
+    else:
+        _write_text(dest, text + "\n", what)
+
+
+def _add_noise_flags(p: argparse.ArgumentParser) -> None:
+    """The comparison noise rule's thresholds (bench/series/perf diff):
+    a wall-clock value moved only past both, and only same-host."""
+    p.add_argument("--wall-tol", type=_positive_float,
+                   default=DEFAULT_WALL_TOL,
+                   help="relative wall-time tolerance (default "
+                        "%(default)s)")
+    p.add_argument("--wall-abs-floor", type=_nonneg_float,
+                   default=DEFAULT_WALL_ABS_FLOOR,
+                   help="absolute wall-time slack in seconds (default "
+                        "%(default)s); a move must exceed both")
 
 
 def _grid_args(args):
@@ -467,11 +468,7 @@ def cmd_hotspots(args) -> int:
         print(format_locality_table(point["locality"]))
 
     if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "hotspots JSON")
+        _emit_json(args.json, payload, "hotspots JSON")
     if args.html:
         _write_text(args.html, hotspots_html(payload), "hotspots HTML")
     if args.flame:
@@ -503,25 +500,9 @@ def cmd_verify(args) -> int:
     from repro.verify import format_verify_table, grid_ok, verify_grid
 
     session = _apply_session_args(args)
-    apps = (
-        sorted(ALL_APPS)
-        if args.apps.strip() == "all"
-        else _split_csv(args.apps)
-    )
-    if not apps:
-        raise SystemExit("no apps selected")
-    for a in apps:
-        if a not in ALL_APPS:
-            raise SystemExit(
-                f"unknown app {a!r}; available: "
-                f"{', '.join(sorted(ALL_APPS))}"
-            )
-    try:
-        schemes = [parse_scheme(s) for s in _split_csv(args.schemes)]
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if not schemes:
-        raise SystemExit("no schemes selected")
+    if args.apps.strip() == "all":
+        args.apps = ",".join(sorted(ALL_APPS))
+    apps, schemes = _grid_args(args)
 
     store, _ = _result_store(args)
     results = verify_grid(apps, schemes, args.procs_list,
@@ -901,25 +882,21 @@ def cmd_fsck(args) -> int:
                + ("" if args.no_repair else ", now repaired") + ")")
 
     if args.json:
-        text = json.dumps(report.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "fsck report JSON")
+        _emit_json(args.json, report.as_dict(), "fsck report JSON")
     if args.strict and not report.clean:
         return 1
     return 0
 
 
 def cmd_bench(args) -> int:
-    from repro.obs.bench import (
-        append_bench_series,
-        compare_snapshots,
-        load_snapshot,
-        run_bench,
-        save_snapshot,
+    from repro.obs.bench import append_bench_series, run_bench, save_snapshot
+    from repro.obs.compare import compare_runs, load_run, run_record
+    from repro.report import (
+        format_bench_table,
+        format_diff_table,
+        format_perf_diff_table,
+        format_regression_table,
     )
-    from repro.report import format_bench_table, format_regression_table
 
     apps, schemes = _grid_args(args)
 
@@ -929,7 +906,7 @@ def cmd_bench(args) -> int:
     baseline = None
     if args.compare:
         try:
-            baseline = load_snapshot(args.compare)
+            baseline = load_run(args.compare)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot load baseline: {exc}")
 
@@ -949,52 +926,29 @@ def cmd_bench(args) -> int:
         print(f"appended per-point digest to {spath} "
               f"(render trends with `python -m repro series`)")
 
-    rc = 0
-    if baseline is not None:
-        cmp = compare_snapshots(baseline, snap, wall_tol=args.wall_tol,
-                                wall_abs_floor=args.wall_abs_floor)
+    if baseline is None:
+        return 0
+    cmp = compare_runs(baseline, run_record(snap), wall_tol=args.wall_tol,
+                       wall_abs_floor=args.wall_abs_floor)
+    print()
+    print(format_regression_table(
+        cmp, title=f"bench comparison vs {args.compare}",
+        show_ok=args.show_ok,
+    ))
+    if cmp.ok:
+        return 0
+    # Name the culprit: attribute drifted counters to the first
+    # diverging compiler decision between baseline and this run.
+    print()
+    print(format_diff_table(cmp, title="root-cause diff vs baseline"))
+    # When the wall gate (or a ledger row) tripped, also rank the
+    # ledger rows whose self time moved — the differential attribution
+    # that names the pass/phase responsible.
+    if any(r.metric == "wall.min" or r.metric.endswith(".self_s")
+           for r in cmp.regressions):
         print()
-        print(format_regression_table(
-            cmp, title=f"bench comparison vs {args.compare}",
-            show_ok=args.show_ok,
-        ))
-        if not cmp.ok:
-            rc = 1
-            # Name the culprit: attribute the regression to the first
-            # diverging compiler decision between baseline and this run.
-            try:
-                from repro.obs import provenance
-                from repro.report import format_diff_table
-
-                print()
-                print(format_diff_table(
-                    provenance.diff_runs(baseline, snap),
-                    title="root-cause diff vs baseline",
-                ))
-            except Exception as exc:  # never mask the regression exit
-                print(f"(root-cause diff unavailable: {exc})")
-            # When the wall gate (or a ledger row) tripped, also rank
-            # the ledger rows whose self time moved — the differential
-            # attribution that names the pass/phase responsible.
-            wall_trip = any(
-                r.failing and (r.metric.startswith("wall.")
-                               or r.metric.endswith(".self_s"))
-                for r in cmp.rows)
-            if wall_trip:
-                try:
-                    from repro.obs.perf import perf_diff
-                    from repro.report import format_perf_diff_table
-
-                    print()
-                    print(format_perf_diff_table(
-                        perf_diff(baseline, snap,
-                                  wall_tol=args.wall_tol,
-                                  wall_abs_floor=args.wall_abs_floor),
-                        title="perf culprits vs baseline",
-                    ))
-                except Exception as exc:
-                    print(f"(perf culprit table unavailable: {exc})")
-    return rc
+        print(format_perf_diff_table(cmp, title="perf culprits vs baseline"))
+    return 1
 
 
 def _load_run_status(args):
@@ -1026,11 +980,7 @@ def cmd_status(args) -> int:
         print(f"status: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        text = json.dumps(status.as_dict(), indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "run status JSON")
+        _emit_json(args.json, status.as_dict(), "run status JSON")
     else:
         print(format_status_text(status.as_dict()))
     return _status_rc(status.state)
@@ -1090,12 +1040,7 @@ def cmd_report(args) -> int:
                     "HTML run report")
         wrote = True
     if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True,
-                          default=str)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "run report JSON")
+        _emit_json(args.json, payload, "run report JSON")
         wrote = True
     if not wrote:
         print(format_status_text(payload["status"]))
@@ -1125,13 +1070,9 @@ def cmd_series(args) -> int:
     rows = series_trends(lines, wall_tol=args.wall_tol,
                          wall_abs_floor=args.wall_abs_floor)
     if args.json:
-        text = json.dumps(
-            {"path": str(path), "samples": len(lines), "rows": rows},
-            indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "series trends JSON")
+        _emit_json(args.json,
+                   {"path": str(path), "samples": len(lines), "rows": rows},
+                   "series trends JSON")
     else:
         print(f"benchmark series: {path} ({len(lines)} samples)")
         print(format_series_table(rows, limit=args.limit))
@@ -1169,24 +1110,36 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def cmd_diff(args) -> int:
-    """``python -m repro diff``: root-cause diff of two run files."""
-    from repro.obs import provenance
-    from repro.report import format_diff_table
+def _compare_files(args, command: str):
+    """Load and compare the two run files of ``diff``/``perf diff``;
+    ``None`` (after a one-line message) when either is unusable."""
+    from repro.obs.compare import compare_runs, load_run
 
     try:
-        run_a = provenance.load_run(args.run_a)
-        run_b = provenance.load_run(args.run_b)
+        run_a, run_b = load_run(args.run_a), load_run(args.run_b)
     except (OSError, ValueError) as exc:
-        print(f"diff: {exc}", file=sys.stderr)
+        print(f"{command}: {exc}", file=sys.stderr)
+        return None
+    return compare_runs(
+        run_a, run_b,
+        wall_tol=getattr(args, "wall_tol", DEFAULT_WALL_TOL),
+        wall_abs_floor=getattr(args, "wall_abs_floor",
+                               DEFAULT_WALL_ABS_FLOOR))
+
+
+def cmd_diff(args) -> int:
+    """``python -m repro diff``: root-cause diff of two run files."""
+    from repro.report import format_diff_table
+
+    cmp = _compare_files(args, "diff")
+    if cmp is None:
         return 2
-    diff = provenance.diff_runs(run_a, run_b)
     if args.json:
-        print(json.dumps(diff.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(cmp.diff_dict(), indent=2, sort_keys=True))
     else:
         print(format_diff_table(
-            diff, title=f"{args.run_a} vs {args.run_b}"))
-    return 1 if diff.significant else 0
+            cmp, title=f"{args.run_a} vs {args.run_b}"))
+    return 1 if cmp.diverged else 0
 
 
 def cmd_perf(args) -> int:
@@ -1216,17 +1169,13 @@ def _cmd_perf_record(args) -> int:
     except ValueError as exc:
         raise SystemExit(str(exc))
     point = payload["points"][0]
-    label = f"{point['app']}/{point['scheme']}/P{point['nprocs']}"
+    label = point_key(point)
     print(format_ledger_table(
         point["perf"]["ledger"],
         title=f"wall-time ledger: {label}", top=args.top,
     ))
     if args.json:
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            _write_text(args.json, text + "\n", "perf record JSON")
+        _emit_json(args.json, payload, "perf record JSON")
     if args.stacks:
         from repro.obs.export import write_collapsed
 
@@ -1247,25 +1196,18 @@ def _cmd_perf_record(args) -> int:
 
 
 def _cmd_perf_diff(args) -> int:
-    from repro.obs import provenance
-    from repro.obs.perf import perf_diff
     from repro.report import format_perf_diff_table
 
-    try:
-        run_a = provenance.load_run(args.run_a)
-        run_b = provenance.load_run(args.run_b)
-    except (OSError, ValueError) as exc:
-        print(f"perf diff: {exc}", file=sys.stderr)
+    cmp = _compare_files(args, "perf diff")
+    if cmp is None:
         return 2
-    pd = perf_diff(run_a, run_b, wall_tol=args.wall_tol,
-                   wall_abs_floor=args.wall_abs_floor)
     if args.json:
-        print(json.dumps(pd.as_dict(), indent=2, sort_keys=True))
+        print(json.dumps(cmp.perf_dict(), indent=2, sort_keys=True))
     else:
         print(format_perf_diff_table(
-            pd, title=f"perf diff: {args.run_a} vs {args.run_b}",
+            cmp, title=f"perf diff: {args.run_a} vs {args.run_b}",
             top=args.top))
-    return 1 if pd.significant else 0
+    return 1 if cmp.significant else 0
 
 
 def main(argv=None) -> int:
@@ -1502,12 +1444,7 @@ def main(argv=None) -> int:
     p.add_argument("--compare", default=None, metavar="BASELINE",
                    help="baseline snapshot (or pointer) to gate "
                         "against; exits nonzero on regression")
-    p.add_argument("--wall-tol", type=_positive_float, default=0.30,
-                   help="relative wall-time tolerance for --compare "
-                        "(min-of-N; only gated on the same host)")
-    p.add_argument("--wall-abs-floor", type=_nonneg_float, default=0.010,
-                   help="absolute wall-time slack in seconds; a "
-                        "regression must exceed both thresholds")
+    _add_noise_flags(p)
     p.add_argument("--show-ok", action="store_true",
                    help="include passing rows in the comparison table")
 
@@ -1575,11 +1512,7 @@ def main(argv=None) -> int:
                         "$REPRO_RESULTS_DIR/bench/series.jsonl)")
     p.add_argument("--limit", type=_positive_int, default=40,
                    metavar="N", help="max rows to print (default 40)")
-    p.add_argument("--wall-tol", type=_positive_float, default=0.30,
-                   help="relative trend tolerance (default 0.30)")
-    p.add_argument("--wall-abs-floor", type=_nonneg_float,
-                   default=0.010,
-                   help="absolute wall-time slack in seconds")
+    _add_noise_flags(p)
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero when any metric regressed or "
                         "drifted (CI guard)")
@@ -1654,13 +1587,7 @@ def main(argv=None) -> int:
     )
     pp.add_argument("run_a", help="baseline run file")
     pp.add_argument("run_b", help="candidate run file")
-    pp.add_argument("--wall-tol", type=_positive_float, default=0.30,
-                    help="relative self-time tolerance (same host "
-                         "only)")
-    pp.add_argument("--wall-abs-floor", type=_nonneg_float,
-                    default=0.010,
-                    help="absolute self-time slack in seconds; a "
-                         "culprit must exceed both thresholds")
+    _add_noise_flags(pp)
     pp.add_argument("--top", type=_positive_int, default=20,
                     help="ranked rows to print")
     pp.add_argument("--json", action="store_true",

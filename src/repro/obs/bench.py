@@ -8,53 +8,44 @@ simulated-machine metrics — miss classes, NUMA local/remote, conflict
 sets, and the Section-4.3 addressing-overhead counts — into a
 schema-versioned snapshot.  :func:`save_snapshot` persists snapshots as
 ``results/bench/BENCH_<timestamp>.json`` plus a repo-root
-``BENCH_latest.json`` pointer, and :func:`compare_snapshots` gates a
-new snapshot against a baseline with noise-aware thresholds:
+``BENCH_latest.json`` pointer.
 
-* **wall time** — min-of-N against min-of-N with a relative tolerance,
-  and only when both snapshots come from the same host (a committed
-  baseline from another machine can't gate wall time meaningfully);
-* **simulated counters** — exact match (the simulator is
-  deterministic, so *any* drift is a semantic change that must be
-  either fixed or explicitly re-baselined);
-* **wall-time ledger** (schema 3, from :mod:`repro.obs.perf`) — the
-  row set and per-pass run counts are deterministic and gated exactly;
-  per-row self times follow the wall rule above.
-
-``python -m repro bench`` is the CLI;
-``python -m repro bench --compare BENCH_latest.json`` exits nonzero on
-regression, which CI uses as a gate
-(:func:`repro.report.format_regression_table` renders the verdict).
+``python -m repro bench --compare BENCH_latest.json`` gates a new
+snapshot against a baseline and exits nonzero on regression, which CI
+uses as a gate.  The comparing itself — simulated counters exact,
+wall time and ledger self time noise-gated on the same host only —
+lives in :mod:`repro.obs.compare`, shared with ``repro diff`` and
+``repro perf diff``; :func:`series_trends` applies the same noise rule
+to the appended history.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import platform
+import statistics
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.obs import core as _obs_core
+from repro.obs.compare import (
+    DEFAULT_WALL_ABS_FLOOR,
+    DEFAULT_WALL_TOL,
+    noise_verdict,
+    point_key,
+)
 from repro.util.atomicio import write_atomic
 
 __all__ = [
     "SCHEMA_VERSION",
-    "BenchComparison",
-    "DeltaRow",
     "append_bench_series",
     "append_series",
-    "compare_snapshots",
-    "describe_host_mismatch",
     "host_fingerprint",
-    "load_snapshot",
     "load_series_lines",
-    "point_key",
     "run_bench",
     "save_snapshot",
     "series_path",
@@ -65,7 +56,8 @@ __all__ = [
 #   1 — wall/sim (misses, addressing, numa, conflict) + provenance.
 #   2 — adds sim.locality (reuse-distance / set-pressure / heatmap
 #       fingerprint, exact-match gated) and the non-gated "profile"
-#       key (top self-time functions; timing, so never compared).
+#       key (top self-time functions; no longer written — the
+#       collapsed stacks under "perf" hold the same samples).
 #   3 — adds the per-point "perf" key (wall-time ledger from
 #       repro.obs.perf — row set and counts exact-match gated,
 #       self-time columns noise-gated like wall.min — plus the
@@ -84,20 +76,9 @@ DEFAULT_OUT_DIR = os.path.join("results", "bench")
 LATEST_POINTER = "BENCH_latest.json"
 
 # History cap for the append-only series.jsonl: newest N lines are
-# kept on rotation (mirrors the quarantine cap in repro.pipeline.cache
+# kept on rotation (mirrors the quarantine cap in repro.util.atomicio
 # — bound the on-disk history, keep the most recent evidence).
 SERIES_KEEP = 256
-
-DEFAULT_WALL_TOL = 0.30
-# Absolute slack under the relative wall gate: scheduler jitter on a
-# sub-10ms measurement easily exceeds 30% relative, so a regression
-# must also be at least this many seconds to fail.
-DEFAULT_WALL_ABS_FLOOR = 0.010
-FLOAT_REL_TOL = 1e-9
-
-# Statuses that fail the gate: a slower wall time, a drifted simulated
-# counter, a vanished grid point, or an incomparable snapshot.
-_FAILING = ("regressed", "changed", "missing", "incomparable")
 
 
 def _cpu_model() -> str:
@@ -120,7 +101,8 @@ def host_fingerprint() -> Dict[str, Any]:
     """Identity of the measuring machine; wall-time comparisons are
     only meaningful between equal fingerprints.  The fields double as
     the explanation when a comparison skips its wall gate —
-    :func:`describe_host_mismatch` names exactly which ones differ."""
+    :func:`repro.obs.compare.describe_host_mismatch` names exactly
+    which ones differ."""
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
@@ -129,32 +111,6 @@ def host_fingerprint() -> Dict[str, Any]:
         "cpu": _cpu_model(),
         "cores": os.cpu_count() or 0,
     }
-
-
-def describe_host_mismatch(a: Dict[str, Any], b: Dict[str, Any]) -> str:
-    """Compact ``field: x vs y`` listing of differing fingerprint
-    fields — the human-readable reason a wall gate was skipped."""
-    diffs = []
-    for k in sorted(set(a) | set(b)):
-        va, vb = a.get(k), b.get(k)
-        if va != vb:
-            diffs.append(f"{k}: {va!r} vs {vb!r}")
-    return "; ".join(diffs)
-
-
-def point_key(point: Dict[str, Any]) -> str:
-    return f"{point['app']}/{point['scheme']}/P{point['nprocs']}"
-
-
-def _percentile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile of a non-empty sample list."""
-    xs = sorted(samples)
-    if len(xs) == 1:
-        return xs[0]
-    pos = q * (len(xs) - 1)
-    lo = int(math.floor(pos))
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
 
 
 def _bench_point(session, point, prog, repeats: int) -> Dict[str, Any]:
@@ -215,20 +171,6 @@ def _bench_point(session, point, prog, repeats: int) -> Dict[str, Any]:
         simulate(spmd, machine)
         samples.append(time.perf_counter() - t0)
 
-    # The hotspot fingerprint comes from measure_point's sampled run,
-    # kept outside the timed repeats (the sampler's hook would inflate
-    # them) and outside "sim" (wall-clock attribution is
-    # nondeterministic, so the exact-match gate must never read it).
-    hot = m["hot"]
-    profile = {
-        "wall_s": hot.wall_s,
-        "samples": hot.samples,
-        "top_self": [
-            {"key": f.key, "self_s": f.self_s, "cum_s": f.cum_s}
-            for f in hot.top(5, include_external=False)
-        ],
-        "modules": hot.by_module(),
-    }
     return {
         "app": point.app,
         "scheme": point.scheme,
@@ -243,19 +185,17 @@ def _bench_point(session, point, prog, repeats: int) -> Dict[str, Any]:
             "repeats": repeats,
             "samples": samples,
             "min": min(samples),
-            "p50": _percentile(samples, 0.5),
+            "p50": statistics.median(samples),
             "mean": sum(samples) / len(samples),
             "max": max(samples),
         },
         "sim": sim,
-        "profile": profile,
         # Schema 3: the wall-time ledger (row set + counts exact-match
         # gated, self-time noise-gated) and the collapsed-stack blob
         # (never gated; `repro perf`/flamegraphs consume it).
         "perf": {"ledger": m["ledger"], "stacks": m["stacks"]},
-        # Decision provenance rides along for `repro diff` root-cause
-        # attribution; compare_snapshots never reads it, so this key
-        # never affects the regression gate.
+        # Decision provenance rides along for root-cause attribution
+        # of drifted counters; it never affects the regression gate.
         "provenance": [r.as_dict() for r in prov],
     }
 
@@ -455,26 +395,23 @@ def series_trends(lines: Sequence[Dict[str, Any]],
     speedup], ...]}`` from the pytest harness).  Each is rolled up by
     its natural key and the last sample is judged against the previous
     one: wall time regresses when it grows past ``wall_tol`` relative
-    *and* ``wall_abs_floor`` absolute (the bench gate's rule), speedup
-    regresses when it shrinks past ``wall_tol`` relative, and a
+    *and* ``wall_abs_floor`` absolute (the shared
+    :func:`~repro.obs.compare.noise_verdict`), speedup regresses when
+    it shrinks past ``wall_tol`` relative, and a
     drifted miss count is flagged — the simulator is deterministic, so
     any miss drift is a semantic change.
     """
-    bench_hist: Dict[str, List[Dict[str, Any]]] = {}
-    curve_hist: Dict[str, List[Dict[str, Any]]] = {}
+    # (kind, key) -> samples, oldest first; kinds sort bench before figure.
+    hist: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
     for line in lines:
         created = line.get("created", "")
         if line.get("kind") == "bench":
             for p in line.get("points") or []:
-                key = p.get("point")
-                wall = p.get("wall_p50")
-                if not key or not isinstance(wall, (int, float)):
-                    continue
-                bench_hist.setdefault(str(key), []).append({
-                    "wall_p50": float(wall),
-                    "misses": p.get("misses"),
-                    "created": created,
-                })
+                key, wall = p.get("point"), p.get("wall_p50")
+                if key and isinstance(wall, (int, float)):
+                    hist.setdefault(("bench", str(key)), []).append({
+                        "value": float(wall), "misses": p.get("misses"),
+                        "created": created})
         elif isinstance(line.get("series"), dict):
             for scheme, pts in sorted(line["series"].items()):
                 try:
@@ -484,25 +421,26 @@ def series_trends(lines: Sequence[Dict[str, Any]],
                 except (TypeError, ValueError):
                     continue
                 key = f"{line.get('name', '?')}:{scheme}@P{procs:g}"
-                curve_hist.setdefault(key, []).append({
-                    "speedup": speedup,
-                    "created": created,
-                })
+                hist.setdefault(("figure", key), []).append({
+                    "value": speedup, "created": created})
 
+    # kind -> (unit, rounding, abs floor, higher is better, regression note)
+    kinds = {
+        "bench": ("wall p50 s", 6, wall_abs_floor, False,
+                  f"wall p50 over +{wall_tol:.0%}"),
+        "figure": ("speedup", 4, 0.0, True,
+                   f"speedup down >{wall_tol:.0%}"),
+    }
     rows: List[Dict[str, Any]] = []
-    for key, hist in sorted(bench_hist.items()):
-        last, prev = hist[-1], (hist[-2] if len(hist) > 1 else None)
+    for (kind, key), samples in sorted(hist.items()):
+        unit, digits, floor, higher, why = kinds[kind]
+        last = samples[-1]
+        prev = samples[-2] if len(samples) > 1 else None
         status, note = "new", ""
         if prev is not None:
-            cur, base = last["wall_p50"], prev["wall_p50"]
-            if (cur > base * (1.0 + wall_tol)
-                    and cur - base > wall_abs_floor):
-                status, note = "regressed", f"wall p50 over +{wall_tol:.0%}"
-            elif (cur < base * (1.0 - wall_tol)
-                    and base - cur > wall_abs_floor):
-                status = "improved"
-            else:
-                status = "ok"
+            status = noise_verdict(prev["value"], last["value"], wall_tol,
+                                   floor, higher_is_better=higher)
+            note = why if status == "regressed" else ""
             if (last.get("misses") is not None
                     and prev.get("misses") is not None
                     and last["misses"] != prev["misses"]):
@@ -510,244 +448,12 @@ def series_trends(lines: Sequence[Dict[str, Any]],
                 note = (f"miss count drifted "
                         f"{prev['misses']} → {last['misses']}")
         rows.append({
-            "key": key, "kind": "bench", "unit": "wall p50 s",
-            "runs": len(hist), "value": round(last["wall_p50"], 6),
-            "prev": (round(prev["wall_p50"], 6)
+            "key": key, "kind": kind, "unit": unit,
+            "runs": len(samples), "value": round(last["value"], digits),
+            "prev": (round(prev["value"], digits)
                      if prev is not None else None),
             "misses": last.get("misses"),
             "status": status, "note": note,
             "created": last.get("created", ""),
         })
-    for key, hist in sorted(curve_hist.items()):
-        last, prev = hist[-1], (hist[-2] if len(hist) > 1 else None)
-        status, note = "new", ""
-        if prev is not None:
-            cur, base = last["speedup"], prev["speedup"]
-            if cur < base * (1.0 - wall_tol):
-                status, note = "regressed", f"speedup down >{wall_tol:.0%}"
-            elif cur > base * (1.0 + wall_tol):
-                status = "improved"
-            else:
-                status = "ok"
-        rows.append({
-            "key": key, "kind": "figure", "unit": "speedup",
-            "runs": len(hist), "value": round(last["speedup"], 4),
-            "prev": (round(prev["speedup"], 4)
-                     if prev is not None else None),
-            "misses": None,
-            "status": status, "note": note,
-            "created": last.get("created", ""),
-        })
     return rows
-
-
-def load_snapshot(path: os.PathLike) -> Dict[str, Any]:
-    """Load a snapshot, transparently following pointer files (a
-    ``BENCH_latest.json`` whose ``pointer`` names the real snapshot;
-    relative pointers resolve against the pointer file's directory)."""
-    path = Path(path)
-    for _ in range(4):  # pointer chains are short; bound anyway
-        with open(path) as fh:
-            data = json.load(fh)
-        target = data.get("pointer")
-        if target is None:
-            return data
-        candidate = Path(target)
-        if not candidate.is_absolute() and not candidate.exists():
-            candidate = path.parent / target
-        path = candidate
-    raise ValueError(f"pointer chain too deep starting at {path}")
-
-
-# -- comparison --------------------------------------------------------------
-
-@dataclass
-class DeltaRow:
-    """One compared metric of one grid point."""
-
-    point: str
-    metric: str
-    baseline: Any
-    current: Any
-    status: str  # ok | improved | regressed | changed | missing | new
-                 # | skipped | incomparable
-    note: str = ""
-
-    @property
-    def failing(self) -> bool:
-        return self.status in _FAILING
-
-
-@dataclass
-class BenchComparison:
-    """Outcome of one baseline-vs-current snapshot comparison."""
-
-    rows: List[DeltaRow] = field(default_factory=list)
-    wall_tol: float = DEFAULT_WALL_TOL
-    wall_abs_floor: float = DEFAULT_WALL_ABS_FLOOR
-    wall_gated: bool = True
-
-    @property
-    def regressions(self) -> List[DeltaRow]:
-        return [r for r in self.rows if r.failing]
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def _flatten_sim(sim: Dict[str, Any], prefix: str = "sim") -> Dict[str, Any]:
-    flat: Dict[str, Any] = {}
-    for key, value in sim.items():
-        name = f"{prefix}.{key}"
-        if isinstance(value, dict):
-            flat.update(_flatten_sim(value, name))
-        else:
-            flat[name] = value
-    return flat
-
-
-def _values_match(a: Any, b: Any) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return math.isclose(a, b, rel_tol=FLOAT_REL_TOL, abs_tol=1e-12)
-    return a == b
-
-
-def compare_snapshots(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    wall_tol: float = DEFAULT_WALL_TOL,
-    wall_abs_floor: float = DEFAULT_WALL_ABS_FLOOR,
-) -> BenchComparison:
-    """Gate ``current`` against ``baseline``.
-
-    Simulated counters must match exactly (any drift fails); wall time
-    fails only when the current min-of-N exceeds the baseline min-of-N
-    by more than ``wall_tol`` relative AND ``wall_abs_floor`` seconds
-    absolute — and is skipped entirely when the host fingerprints
-    differ.
-    """
-    cmp = BenchComparison(wall_tol=wall_tol, wall_abs_floor=wall_abs_floor)
-    if baseline.get("schema") != current.get("schema"):
-        cmp.rows.append(DeltaRow(
-            point="*", metric="schema",
-            baseline=baseline.get("schema"), current=current.get("schema"),
-            status="incomparable", note="snapshot schema differs",
-        ))
-        return cmp
-    base_cfg = {k: v for k, v in baseline["config"].items()
-                if k in ("n", "time_steps", "scale")}
-    cur_cfg = {k: v for k, v in current["config"].items()
-               if k in ("n", "time_steps", "scale")}
-    if base_cfg != cur_cfg:
-        cmp.rows.append(DeltaRow(
-            point="*", metric="config",
-            baseline=base_cfg, current=cur_cfg,
-            status="incomparable",
-            note="grids measured at different problem sizes",
-        ))
-        return cmp
-    cmp.wall_gated = baseline.get("host") == current.get("host")
-    host_note = "different host; wall gate off"
-    if not cmp.wall_gated:
-        mismatch = describe_host_mismatch(
-            baseline.get("host") or {}, current.get("host") or {})
-        if mismatch:
-            host_note = f"different host ({mismatch}); wall gate off"
-
-    cur_points = {point_key(p): p for p in current["points"]}
-    seen = set()
-    for bp in baseline["points"]:
-        key = point_key(bp)
-        seen.add(key)
-        cp = cur_points.get(key)
-        if cp is None:
-            cmp.rows.append(DeltaRow(
-                point=key, metric="*", baseline="present", current="absent",
-                status="missing", note="grid point vanished",
-            ))
-            continue
-        # Simulated machine counters: exact match.
-        base_sim = _flatten_sim(bp["sim"])
-        cur_sim = _flatten_sim(cp["sim"])
-        for metric in sorted(set(base_sim) | set(cur_sim)):
-            if metric not in base_sim or metric not in cur_sim:
-                cmp.rows.append(DeltaRow(
-                    point=key, metric=metric,
-                    baseline=base_sim.get(metric),
-                    current=cur_sim.get(metric),
-                    status="changed", note="metric appeared/disappeared",
-                ))
-            elif not _values_match(base_sim[metric], cur_sim[metric]):
-                cmp.rows.append(DeltaRow(
-                    point=key, metric=metric,
-                    baseline=base_sim[metric], current=cur_sim[metric],
-                    status="changed",
-                    note="simulated counter drifted (exact-match gate)",
-                ))
-        # Wall time: min-of-N with relative tolerance, same host only.
-        base_min = bp["wall"]["min"]
-        cur_min = cp["wall"]["min"]
-        if not cmp.wall_gated:
-            status, note = "skipped", host_note
-        elif (cur_min > base_min * (1.0 + wall_tol)
-              and cur_min - base_min > wall_abs_floor):
-            status = "regressed"
-            note = f"min-of-N wall time over +{wall_tol:.0%} threshold"
-        elif (cur_min < base_min * (1.0 - wall_tol)
-              and base_min - cur_min > wall_abs_floor):
-            status, note = "improved", "consider re-baselining"
-        else:
-            status, note = "ok", ""
-        cmp.rows.append(DeltaRow(
-            point=key, metric="wall.min",
-            baseline=base_min, current=cur_min, status=status, note=note,
-        ))
-        # Wall-time ledger (schema 3): the row set and anchor counts
-        # are deterministic — any drift is "changed" regardless of
-        # host — while per-row self time is wall-clock, so it uses the
-        # same same-host + relative-AND-absolute rule as wall.min.
-        # Quiet ledger rows are omitted (a point carries a dozen).
-        base_led = (bp.get("perf") or {}).get("ledger")
-        cur_led = (cp.get("perf") or {}).get("ledger")
-        if base_led and cur_led:
-            rows_a = {(r["kind"], r["name"]): r for r in base_led["rows"]}
-            rows_b = {(r["kind"], r["name"]): r for r in cur_led["rows"]}
-            for rk in sorted(set(rows_a) | set(rows_b)):
-                kind, name = rk
-                label = name if kind == "residual" else f"{kind}/{name}"
-                ra, rb = rows_a.get(rk), rows_b.get(rk)
-                if ra is None or rb is None:
-                    cmp.rows.append(DeltaRow(
-                        point=key, metric=f"perf.{label}",
-                        baseline="present" if ra else "absent",
-                        current="present" if rb else "absent",
-                        status="changed",
-                        note="ledger row appeared/disappeared",
-                    ))
-                    continue
-                if kind != "residual" and ra["count"] != rb["count"]:
-                    cmp.rows.append(DeltaRow(
-                        point=key, metric=f"perf.{label}.count",
-                        baseline=ra["count"], current=rb["count"],
-                        status="changed",
-                        note="ledger count drifted (exact-match gate)",
-                    ))
-                    continue
-                if not cmp.wall_gated:
-                    continue
-                a, b = float(ra["self_s"]), float(rb["self_s"])
-                if b > a * (1.0 + wall_tol) and b - a > wall_abs_floor:
-                    cmp.rows.append(DeltaRow(
-                        point=key, metric=f"perf.{label}.self_s",
-                        baseline=a, current=b, status="regressed",
-                        note=f"ledger self time over +{wall_tol:.0%} "
-                             "threshold",
-                    ))
-    for key in cur_points:
-        if key not in seen:
-            cmp.rows.append(DeltaRow(
-                point=key, metric="*", baseline="absent", current="present",
-                status="new", note="not in baseline",
-            ))
-    return cmp

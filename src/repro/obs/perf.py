@@ -1,11 +1,9 @@
-"""Differential performance attribution: the wall-time ledger and the
-``repro perf`` engines.
+"""Differential performance attribution: the wall-time ledger behind
+``repro perf``.
 
-The repo could already *detect* a wall regression (``bench --compare``)
-and root-cause *semantic* divergence (``repro diff`` over decision
-provenance); this module closes the remaining loop by attributing a
-wall-time delta to the passes, simulator phases, and functions
-responsible.  Three pieces:
+The ledger attributes a point's wall time to the passes, simulator
+phases, and functions responsible, so a wall-time delta between two
+runs can be pinned on the row that moved.  Two pieces:
 
 * :func:`build_ledger` — an **exhaustive, reconciled** accounting of
   one recording.  Every span's *self* time (duration minus its direct
@@ -23,12 +21,11 @@ responsible.  Three pieces:
   machine metrics, and a collapsed-stack sample
   (:mod:`repro.obs.flame` renders it); ``repro bench`` stores both per
   grid point since snapshot schema 3.
-* :func:`perf_diff` — aligns two runs (bench snapshots or ``perf
-  record`` payloads) and ranks the ledger rows whose self-time moved,
-  with the same noise discipline as ``bench --compare``: row *sets*
-  and *counts* are deterministic and gated exactly; self-time columns
-  are gated only on the same host and only past a relative tolerance
-  AND an absolute floor.
+
+``repro perf diff`` aligns two runs' ledgers through
+:mod:`repro.obs.compare`: row *sets* and *counts* are deterministic and
+gated exactly; self-time columns are gated only on the same host and
+only past a relative tolerance AND an absolute floor.
 
 Ledger reconciliation rules (the falsifiability contract):
 
@@ -46,8 +43,7 @@ Ledger reconciliation rules (the falsifiability contract):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro import obs
 from repro.obs import core as _obs_core
@@ -55,12 +51,9 @@ from repro.obs import core as _obs_core
 __all__ = [
     "PERF_SCHEMA",
     "UNATTRIBUTED",
-    "PerfDiff",
-    "PerfRowDelta",
     "build_ledger",
     "ledger_reconciles",
     "measure_point",
-    "perf_diff",
     "record_point",
 ]
 
@@ -172,10 +165,9 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
     result (deterministic machine metrics), the addressing counters,
     the captured decision provenance, and — from a *separate* sampled
     run kept outside the ledger window, since the profiling hook would
-    inflate it — the hotspot report and collapsed stacks.  The global
-    obs state is saved and restored.
+    inflate it — the collapsed stacks.  The global obs state is saved
+    and restored.
     """
-    from repro.codegen.emit_optimized import emit_optimized_program
     from repro.machine.simulate import simulate
     from repro.obs import provenance
     from repro.obs.hotspot import HotspotProfiler
@@ -188,12 +180,9 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         with obs.span("perf.point", cat="perf", program=prog.name,
                       scheme=scheme.value, nprocs=nprocs):
             t0 = time.perf_counter()
-            spmd = session.compile(prog, scheme, nprocs)
+            spmd, prov = provenance.collect_point(session, prog, scheme,
+                                                  nprocs)
             compile_s = time.perf_counter() - t0
-            prov = session.last_provenance.copy()
-            with provenance.capture() as addr_records:
-                emit_optimized_program(spmd)
-            prov.extend(addr_records)
             res = simulate(spmd, machine, detail=True, locality=locality)
         total_s = time.perf_counter() - t_start
         counters = obs.collector().metrics.snapshot()["counters"]
@@ -222,7 +211,6 @@ def measure_point(session, prog, scheme, nprocs: int, machine, *,
         "compile_s": compile_s,
         "addressing": addressing,
         "ledger": ledger,
-        "hot": hot,
         "stacks": hot.collapsed(),
         "provenance": prov,
     }
@@ -233,8 +221,8 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
                  interval: Optional[int] = None) -> Dict[str, Any]:
     """``repro perf record``: measure one (app, scheme, procs) point
     on the shared grid engine's program/machine mapping and return a
-    bench-snapshot-shaped payload (``provenance.load_run`` and
-    :func:`perf_diff` both accept it directly)."""
+    bench-snapshot-shaped payload (:func:`repro.obs.compare.load_run`
+    reads it like a snapshot)."""
     from datetime import datetime, timezone
 
     from repro.codegen.spmd import scheme_short_name
@@ -272,170 +260,3 @@ def record_point(app: str, scheme, nprocs: int, *, n: int = 16,
             "perf": {"ledger": m["ledger"], "stacks": m["stacks"]},
         }],
     }
-
-
-# -- diffing -----------------------------------------------------------------
-
-@dataclass
-class PerfRowDelta:
-    """One aligned ledger row of one grid point."""
-
-    point: str
-    row: str    # "pass/layout", "phase/<nest>", "sim/trace", residual name
-    kind: str
-    baseline: Optional[float]  # self_s, seconds
-    current: Optional[float]
-    base_count: Optional[int] = None
-    cur_count: Optional[int] = None
-    status: str = "ok"  # ok | regressed | improved | changed | skipped
-    note: str = ""
-
-    @property
-    def delta(self) -> float:
-        return (self.current or 0.0) - (self.baseline or 0.0)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "point": self.point, "row": self.row, "kind": self.kind,
-            "baseline": self.baseline, "current": self.current,
-            "base_count": self.base_count, "cur_count": self.cur_count,
-            "delta": self.delta, "status": self.status, "note": self.note,
-        }
-
-
-@dataclass
-class PerfDiff:
-    """Outcome of one run-vs-run ledger alignment."""
-
-    rows: List[PerfRowDelta] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-    n_points: int = 0
-    n_rows: int = 0
-    wall_gated: bool = True
-    host_note: str = ""
-    wall_tol: float = 0.30
-    wall_abs_floor: float = 0.010
-
-    @property
-    def significant(self) -> bool:
-        return any(r.status in ("regressed", "improved", "changed")
-                   for r in self.rows)
-
-    @property
-    def culprits(self) -> List[PerfRowDelta]:
-        return [r for r in self.rows
-                if r.status in ("regressed", "improved", "changed")]
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "rows": [r.as_dict() for r in self.rows],
-            "notes": list(self.notes),
-            "n_points": self.n_points,
-            "n_rows": self.n_rows,
-            "wall_gated": self.wall_gated,
-            "host_note": self.host_note,
-            "wall_tol": self.wall_tol,
-            "wall_abs_floor": self.wall_abs_floor,
-            "significant": self.significant,
-        }
-
-
-def _point_ledgers(run: Mapping[str, Any]
-                   ) -> Dict[str, Optional[Dict[str, Any]]]:
-    """Per-point ledgers of any loadable run shape.
-
-    Bench snapshots (schema ≥ 3) and ``perf record`` payloads carry
-    ``points[*].perf.ledger``; older snapshots and ``batch --json``
-    runs map to ``None`` (alignable, but nothing to compare)."""
-    out: Dict[str, Optional[Dict[str, Any]]] = {}
-    for p in run.get("points") or run.get("results") or []:
-        if not isinstance(p, dict):
-            continue
-        key = (f"{p.get('app', '?')}/{p.get('scheme', '?')}"
-               f"/P{p.get('nprocs', '?')}")
-        out[key] = (p.get("perf") or {}).get("ledger")
-    return out
-
-
-def perf_diff(run_a: Mapping[str, Any], run_b: Mapping[str, Any],
-              wall_tol: float = 0.30,
-              wall_abs_floor: float = 0.010) -> PerfDiff:
-    """Align two runs' ledgers and rank the rows that moved.
-
-    Mirrors the ``bench --compare`` noise discipline: the row *set*
-    and anchor *counts* are deterministic, so any drift is
-    ``changed`` (significant) regardless of host; ``self_s`` columns
-    are wall-clock, so they are compared only when both runs share a
-    host fingerprint, and flagged only past ``wall_tol`` relative AND
-    ``wall_abs_floor`` seconds absolute.  Rows come back ranked by
-    absolute self-time movement, largest first.
-    """
-    pd = PerfDiff(wall_tol=wall_tol, wall_abs_floor=wall_abs_floor)
-    host_a, host_b = run_a.get("host"), run_b.get("host")
-    pd.wall_gated = host_a == host_b
-    if not pd.wall_gated:
-        from repro.obs.bench import describe_host_mismatch
-        pd.host_note = describe_host_mismatch(host_a or {}, host_b or {})
-    la, lb = _point_ledgers(run_a), _point_ledgers(run_b)
-    for key in sorted(set(la) - set(lb)):
-        pd.notes.append(f"{key}: only in baseline run")
-    for key in sorted(set(lb) - set(la)):
-        pd.notes.append(f"{key}: only in current run")
-    for key in sorted(set(la) & set(lb)):
-        pd.n_points += 1
-        A, B = la[key], lb[key]
-        if A is None and B is None:
-            pd.notes.append(
-                f"{key}: no ledger in either run "
-                "(pre-schema-3 snapshot or batch run); skipped")
-            continue
-        if A is None or B is None:
-            which = "baseline" if A is None else "current"
-            pd.notes.append(f"{key}: no ledger in {which} run; skipped")
-            continue
-        rows_a = {(r["kind"], r["name"]): r for r in A["rows"]}
-        rows_b = {(r["kind"], r["name"]): r for r in B["rows"]}
-        for rk in sorted(set(rows_a) | set(rows_b)):
-            pd.n_rows += 1
-            kind, name = rk
-            label = name if kind == "residual" else f"{kind}/{name}"
-            ra, rb = rows_a.get(rk), rows_b.get(rk)
-            if ra is None or rb is None:
-                pd.rows.append(PerfRowDelta(
-                    point=key, row=label, kind=kind,
-                    baseline=None if ra is None else ra["self_s"],
-                    current=None if rb is None else rb["self_s"],
-                    base_count=None if ra is None else ra["count"],
-                    cur_count=None if rb is None else rb["count"],
-                    status="changed",
-                    note="ledger row appeared/disappeared "
-                         "(deterministic structure drift)",
-                ))
-                continue
-            if kind != "residual" and ra["count"] != rb["count"]:
-                pd.rows.append(PerfRowDelta(
-                    point=key, row=label, kind=kind,
-                    baseline=ra["self_s"], current=rb["self_s"],
-                    base_count=ra["count"], cur_count=rb["count"],
-                    status="changed",
-                    note=f"count drifted {ra['count']} → {rb['count']} "
-                         "(exact-match gate)",
-                ))
-                continue
-            a, b = float(ra["self_s"]), float(rb["self_s"])
-            if not pd.wall_gated:
-                continue  # self-time incomparable across hosts
-            if b > a * (1.0 + wall_tol) and b - a > wall_abs_floor:
-                status, note = "regressed", (
-                    f"self time over +{wall_tol:.0%} threshold")
-            elif b < a * (1.0 - wall_tol) and a - b > wall_abs_floor:
-                status, note = "improved", ""
-            else:
-                continue  # quiet row
-            pd.rows.append(PerfRowDelta(
-                point=key, row=label, kind=kind, baseline=a, current=b,
-                base_count=ra["count"], cur_count=rb["count"],
-                status=status, note=note,
-            ))
-    pd.rows.sort(key=lambda r: (-abs(r.delta), r.point, r.row))
-    return pd

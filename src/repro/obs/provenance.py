@@ -7,8 +7,9 @@ strip-mine + permute layout derivation (Section 4), and the div/mod
 address optimizations (Section 4.4).  The tracing layer records *that*
 those phases ran; this module records the decisions themselves so that
 ``python -m repro explain`` can render the decision tree for one
-compilation and ``python -m repro diff`` can attribute a performance
-delta between two runs to the first decision that diverged.
+compilation and ``python -m repro diff`` (:mod:`repro.obs.compare`)
+can attribute a counter delta between two runs to the first decision
+that diverged.
 
 Model
 -----
@@ -50,18 +51,12 @@ __all__ = [
     "record",
     "active",
     "collect_point",
-    "load_run",
-    "normalize_run",
-    "diff_runs",
-    "RunDiff",
-    "PointDiff",
-    "MetricDelta",
     "STAGE_ORDER",
     "REASON_CATALOG",
 ]
 
 # Pipeline-ordered stages a record can belong to; explain renders groups
-# in this order, diff uses it to break ties between diverging records.
+# in this order.
 STAGE_ORDER = ("unimodular", "decomposition", "folding", "layout", "addropt")
 
 # site -> {reason code: meaning}.  Documentation + the vocabulary the
@@ -147,13 +142,6 @@ class DecisionRecord:
             "inputs": dict(self.inputs),
             "span_id": self.span_id,
         }
-
-
-def record_identity(rec: Dict[str, Any]) -> str:
-    """Canonical comparison key for a record dict: everything except the
-    span id (which depends on unrelated tracing state)."""
-    stripped = {k: v for k, v in rec.items() if k != "span_id"}
-    return json.dumps(stripped, sort_keys=True, default=repr)
 
 
 class ProvenanceLog:
@@ -288,218 +276,3 @@ def collect_point(session, prog, scheme, nprocs: int, *,
         emit_optimized_program(spmd)
     log.extend(recs)
     return spmd, log
-
-
-# ---------------------------------------------------------------------------
-# Run loading + root-cause diffing
-
-@dataclass
-class MetricDelta:
-    metric: str
-    a: float
-    b: float
-
-    @property
-    def delta(self) -> float:
-        return self.b - self.a
-
-    @property
-    def rel(self) -> Optional[float]:
-        if self.a == 0:
-            return None
-        return (self.b - self.a) / abs(self.a)
-
-
-@dataclass
-class PointDiff:
-    """One grid point's differences between two runs."""
-
-    key: str
-    deltas: List[MetricDelta] = field(default_factory=list)
-    culprit: Optional[Dict[str, Any]] = None       # diverging record in run B
-    culprit_was: Optional[Dict[str, Any]] = None   # its counterpart in run A
-    culprit_index: Optional[int] = None
-    note: str = ""
-
-    @property
-    def significant(self) -> bool:
-        """Wall time is noisy; a point only *fails* a diff when a
-        deterministic (non-wall) metric moved."""
-        return any(not d.metric.startswith("wall") for d in self.deltas)
-
-    def score(self) -> float:
-        best = 0.0
-        for d in self.deltas:
-            if d.metric.startswith("wall"):
-                continue
-            r = d.rel
-            best = max(best, abs(r) if r is not None else float("inf"))
-        return best
-
-
-@dataclass
-class RunDiff:
-    points: List[PointDiff] = field(default_factory=list)
-    missing_in_b: List[str] = field(default_factory=list)
-    missing_in_a: List[str] = field(default_factory=list)
-    n_compared: int = 0
-
-    @property
-    def identical(self) -> bool:
-        return not (self.points or self.missing_in_a or self.missing_in_b)
-
-    @property
-    def significant(self) -> bool:
-        return bool(self.missing_in_a or self.missing_in_b
-                    or any(p.significant for p in self.points))
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "n_compared": self.n_compared,
-            "identical": self.identical,
-            "significant": self.significant,
-            "missing_in_a": list(self.missing_in_a),
-            "missing_in_b": list(self.missing_in_b),
-            "points": [
-                {
-                    "key": p.key,
-                    "deltas": [
-                        {"metric": d.metric, "a": d.a, "b": d.b,
-                         "delta": d.delta, "rel": d.rel}
-                        for d in p.deltas
-                    ],
-                    "culprit": p.culprit,
-                    "culprit_was": p.culprit_was,
-                    "culprit_index": p.culprit_index,
-                    "note": p.note,
-                }
-                for p in self.points
-            ],
-        }
-
-
-def load_run(path: str) -> Dict[str, Any]:
-    """Load a run file: a bench snapshot (schema 1, possibly a pointer
-    file) or a ``batch --json`` output.  Raises ValueError for anything
-    else."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "pointer" in data:
-        from repro.obs.bench import load_snapshot
-
-        return load_snapshot(path)
-    if isinstance(data, dict) and ("points" in data or "results" in data):
-        return data
-    raise ValueError(
-        f"{path}: not a bench snapshot or batch --json output "
-        "(expected a 'points' or 'results' key)"
-    )
-
-
-def _flatten(prefix: str, obj: Any, out: Dict[str, float]) -> None:
-    if isinstance(obj, dict):
-        for k in sorted(obj):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), obj[k], out)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        out[prefix] = float(obj)
-
-
-def normalize_run(data: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Normalize either run format to ``{point key: {"metrics": {...},
-    "provenance": [record dicts], "machine_fp": str | None}}``.
-    Metrics are flat name -> number; wall times get a ``wall.`` prefix
-    so the diff can treat them as noisy."""
-    out: Dict[str, Dict[str, Any]] = {}
-    if "points" in data:  # bench snapshot
-        for p in data.get("points") or []:
-            key = f"{p.get('app')}/{p.get('scheme')}/P{p.get('nprocs')}"
-            metrics: Dict[str, float] = {}
-            _flatten("sim", p.get("sim") or {}, metrics)
-            _flatten("wall", p.get("wall") or {}, metrics)
-            out[key] = {
-                "metrics": metrics,
-                "provenance": list(p.get("provenance") or []),
-                "machine_fp": p.get("machine_fp"),
-            }
-        return out
-    if "results" in data:  # batch --json
-        for r in data.get("results") or []:
-            key = f"{r.get('app')}/{r.get('scheme')}/P{r.get('nprocs')}"
-            metrics = {}
-            if isinstance(r.get("total_time"), (int, float)):
-                metrics["sim.total_time"] = float(r["total_time"])
-            if isinstance(r.get("n_accesses"), (int, float)):
-                metrics["sim.n_accesses"] = float(r["n_accesses"])
-            _flatten("sim.misses", r.get("miss_breakdown") or {}, metrics)
-            if isinstance(r.get("elapsed"), (int, float)):
-                metrics["wall.elapsed"] = float(r["elapsed"])
-            out[key] = {
-                "metrics": metrics,
-                "provenance": list(r.get("provenance") or []),
-            }
-        return out
-    raise ValueError("run data has neither 'points' nor 'results'")
-
-
-def _first_divergence(a_recs: List[Dict[str, Any]],
-                      b_recs: List[Dict[str, Any]]):
-    """Index + pair of the first records that differ (span id ignored),
-    or None when the logs agree."""
-    for i in range(max(len(a_recs), len(b_recs))):
-        ra = a_recs[i] if i < len(a_recs) else None
-        rb = b_recs[i] if i < len(b_recs) else None
-        if ra is None or rb is None:
-            return i, ra, rb
-        if record_identity(ra) != record_identity(rb):
-            return i, ra, rb
-    return None
-
-
-def diff_runs(run_a: Dict[str, Any], run_b: Dict[str, Any]) -> RunDiff:
-    """Align two runs point-by-point, collect metric deltas, and
-    attribute each differing point to the first diverging decision
-    record.  Points are ranked by largest relative non-wall delta."""
-    a = normalize_run(run_a)
-    b = normalize_run(run_b)
-    diff = RunDiff()
-    diff.missing_in_b = sorted(k for k in a if k not in b)
-    diff.missing_in_a = sorted(k for k in b if k not in a)
-    for key in sorted(k for k in a if k in b):
-        diff.n_compared += 1
-        ma, mb = a[key]["metrics"], b[key]["metrics"]
-        deltas = [
-            MetricDelta(m, ma[m], mb[m])
-            for m in sorted(set(ma) & set(mb))
-            if ma[m] != mb[m]
-        ]
-        if not deltas:
-            continue
-        pd = PointDiff(key=key, deltas=deltas)
-        fa = a[key].get("machine_fp")
-        fb = b[key].get("machine_fp")
-        if fa and fb and fa != fb:
-            # Different simulated-machine geometry: the runs measured
-            # different machines, so no compiler decision is to blame.
-            pd.note = (
-                "machine fingerprint differs "
-                f"({fa[:12]}.. vs {fb[:12]}..); divergence attributed "
-                "to a machine-config change, not a compiler decision"
-            )
-            diff.points.append(pd)
-            continue
-        pa, pb = a[key]["provenance"], b[key]["provenance"]
-        if not pa and not pb:
-            pd.note = "no provenance recorded in either run; cannot attribute"
-        elif not pa or not pb:
-            which = "A" if not pa else "B"
-            pd.note = f"no provenance recorded in run {which}; cannot attribute"
-        else:
-            div = _first_divergence(pa, pb)
-            if div is None:
-                pd.note = ("decision logs identical; delta not attributable "
-                           "to a compiler decision (measurement noise?)")
-            else:
-                pd.culprit_index, pd.culprit_was, pd.culprit = div
-        diff.points.append(pd)
-    diff.points.sort(key=lambda p: (-p.score(), p.key))
-    return diff

@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.obs import core
+from repro.obs.compare import point_key
 from repro.obs.timeseries import load_series, ts_path
 from repro.pipeline.journal import (
     JournalState,
@@ -475,9 +476,7 @@ def build_report(store_root: os.PathLike, token: str = "latest", *,
     for i, d in sorted(state.finished.items()):
         if not isinstance(d, dict):
             continue
-        pd = d.get("point") or {}
-        label = (f"{pd.get('app', '?')}/{pd.get('scheme', '?')}"
-                 f"/P{pd.get('nprocs', '?')}")
+        label = point_key(d.get("point") or {})
         rows.append({
             "i": i,
             "label": label,

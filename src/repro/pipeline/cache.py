@@ -40,7 +40,7 @@ from typing import Any, Dict, Optional
 from repro import faults, obs
 from repro.errors import CacheError
 from repro.pipeline import serde
-from repro.util.atomicio import write_atomic
+from repro.util.atomicio import quarantine, write_atomic
 
 __all__ = ["MISS", "ArtifactCache", "CacheStats", "resolve_disk_dir"]
 
@@ -51,10 +51,6 @@ SCHEMA_VERSION = 1
 DEFAULT_CAPACITY = 256
 ENV_DIR = "REPRO_CACHE_DIR"
 ENV_FLAG = "REPRO_CACHE"
-# The quarantine directory keeps only the newest K corrupt entries:
-# enough to post-mortem a bad run, bounded under a chaos loop that
-# corrupts entries forever.
-QUARANTINE_KEEP = 32
 
 
 def resolve_disk_dir(explicit: Optional[str] = None) -> Optional[Path]:
@@ -190,41 +186,17 @@ class ArtifactCache:
             obs.inc("pipeline.cache.corrupt")
             obs.event("pipeline.cache.corrupt", cat="pipeline",
                       key=key, error=type(exc).__name__)
-            self._quarantine(path, key)
+            self._quarantine(path)
             return MISS
 
-    def _quarantine(self, path: Path, key: str) -> None:
-        """Move a corrupt entry out of the lookup path (best effort —
-        on failure the file is deleted; on *that* failing, ignored).
-        The quarantine directory is capped at :data:`QUARANTINE_KEEP`
-        newest entries so repeated corruption can't grow it forever."""
-        try:
-            qdir = path.parent.parent / "quarantine"
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            self._prune_quarantine(qdir)
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def _prune_quarantine(self, qdir: Path) -> None:
-        try:
-            entries = sorted(
-                (p for p in qdir.iterdir() if p.is_file()),
-                key=lambda p: p.stat().st_mtime,
-                reverse=True,
-            )
-        except OSError:
-            return
-        for stale in entries[QUARANTINE_KEEP:]:
-            try:
-                os.unlink(stale)
-            except OSError:
-                continue
-            self.stats.quarantine_evicted += 1
-            obs.inc("cache.quarantine.evicted")
+    def _quarantine(self, path: Path) -> None:
+        """Move a corrupt entry out of the lookup path, into the
+        capped ``quarantine/`` directory
+        (:func:`repro.util.atomicio.quarantine`)."""
+        pruned = quarantine(path, path.parent.parent / "quarantine")
+        if pruned:
+            self.stats.quarantine_evicted += pruned
+            obs.inc("cache.quarantine.evicted", pruned)
 
     def _disk_put(self, key: str, value: Any) -> None:
         if self.disk_dir is None:

@@ -37,8 +37,8 @@ Durability mirrors :mod:`repro.pipeline.cache`, hardened further:
   ever sees a complete entry or none;
 * every entry carries a SHA-256 **payload checksum**; reads verify it,
   and a corrupt entry (torn write, bit rot, key mismatch) is moved to
-  the store's ``quarantine/`` directory — capped like the disk cache's
-  :data:`~repro.pipeline.cache.QUARANTINE_KEEP` — counted
+  the store's ``quarantine/`` directory — capped, like the disk
+  cache's, by :func:`repro.util.atomicio.quarantine` — counted
   (``store.quarantined``) and reported as a miss, never raised;
 * mutations (``put``, eviction) run under an advisory cross-process
   :class:`~repro.util.locking.FileLock` on ``<root>/.lock`` and reload
@@ -66,12 +66,11 @@ from typing import Any, Dict, Iterable, Optional
 from repro import obs
 from repro.errors import LockError
 from repro.pipeline.fingerprint import make_key
-from repro.util.atomicio import write_atomic
+from repro.util.atomicio import quarantine, write_atomic
 from repro.util.locking import FileLock
 
 __all__ = [
     "MODEL_VERSION",
-    "QUARANTINE_KEEP",
     "SCHEMA_VERSION",
     "ResultStore",
     "StoreStats",
@@ -90,13 +89,9 @@ SCHEMA_VERSION = 1
 MODEL_VERSION = "sim-v1"
 
 # Entry-count cap (oldest evicted first), in the spirit of
-# repro.pipeline.cache.QUARANTINE_KEEP: bound the on-disk footprint,
+# repro.util.atomicio.QUARANTINE_KEEP: bound the on-disk footprint,
 # keep the most recently useful evidence.
 DEFAULT_KEEP = 4096
-
-# Quarantined (corrupt) entries kept for post-mortem, newest first —
-# same policy and cap as the disk cache's quarantine.
-QUARANTINE_KEEP = 32
 
 ENV_DIR = "REPRO_STORE_DIR"
 _INDEX_NAME = "coords.json"
@@ -285,38 +280,15 @@ class ResultStore:
         return payload
 
     def quarantine(self, path: Path) -> None:
-        """Move a corrupt entry into ``quarantine/`` (best effort — on
-        failure the file is deleted; on *that* failing, ignored), and
-        prune the quarantine to the newest :data:`QUARANTINE_KEEP`."""
-        try:
-            qdir = self._quarantine_dir()
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                return
+        """Move a corrupt entry into the capped ``quarantine/``
+        directory (:func:`repro.util.atomicio.quarantine`)."""
+        pruned = quarantine(path, self._quarantine_dir())
+        if pruned is None:
+            return
         self.stats.quarantined += 1
         obs.inc("store.quarantined")
-        self._prune_quarantine()
-
-    def _prune_quarantine(self) -> None:
-        try:
-            entries = sorted(
-                (p for p in self._quarantine_dir().iterdir()
-                 if p.is_file()),
-                key=lambda p: p.stat().st_mtime,
-                reverse=True,
-            )
-        except OSError:
-            return
-        for stale in entries[QUARANTINE_KEEP:]:
-            try:
-                os.unlink(stale)
-            except OSError:
-                continue
-            obs.inc("store.quarantine.evicted")
+        if pruned:
+            obs.inc("store.quarantine.evicted", pruned)
 
     def put(self, key: str, payload: Dict[str, Any],
             coord: Optional[str] = None) -> None:

@@ -526,21 +526,18 @@ def profile_as_dict(result) -> Dict:
     }
 
 
-# Pipeline order used to group decision records in the explain tree.
-_EXPLAIN_STAGES = ("unimodular", "decomposition", "folding", "layout",
-                   "addropt")
-
-
 def format_explain_tree(log, title: str = "") -> str:
     """Human-readable decision tree of one compilation's
     :class:`~repro.obs.provenance.ProvenanceLog` (or a list of record
     dicts).  Degenerate inputs render a one-line message."""
+    from repro.obs.provenance import STAGE_ORDER
+
     records = log.as_dicts() if hasattr(log, "as_dicts") else list(log or [])
     head = f"decision provenance: {title}" if title else "decision provenance"
     if not records:
         return f"{head}\n(no decisions recorded)"
-    stages = list(_EXPLAIN_STAGES) + sorted(
-        {r.get("stage", "?") for r in records} - set(_EXPLAIN_STAGES)
+    stages = list(STAGE_ORDER) + sorted(
+        {r.get("stage", "?") for r in records} - set(STAGE_ORDER)
     )
     lines = [
         f"{head} — {len(records)} decision"
@@ -582,42 +579,42 @@ def _describe_record(rec: Optional[Mapping]) -> str:
     return out
 
 
-def format_diff_table(diff, title: str = "run diff") -> str:
-    """Ranked root-cause table of a
-    :class:`~repro.obs.provenance.RunDiff`: per differing point, the
+def format_diff_table(cmp, title: str = "run diff") -> str:
+    """The ``repro diff`` view of a
+    :class:`~repro.obs.compare.Comparison`: per changed point, the
     metric deltas and the first diverging decision record."""
     lines = [title]
-    if diff.identical:
+    points = cmp.changed_points()
+    if cmp.identical:
         lines.append(
-            f"(runs identical: {diff.n_compared} point"
-            f"{'s' if diff.n_compared != 1 else ''} compared, no deltas)"
+            f"(runs identical: {cmp.n_compared} point"
+            f"{'s' if cmp.n_compared != 1 else ''} compared, no deltas)"
         )
         return "\n".join(lines)
-    for key in diff.missing_in_b:
+    for key in cmp.missing:
         lines.append(f"point {key}: present in A only")
-    for key in diff.missing_in_a:
+    for key in cmp.new:
         lines.append(f"point {key}: present in B only")
-    for rank, p in enumerate(diff.points, 1):
-        lines.append(f"#{rank} {p.key}"
-                     + ("" if p.significant else "  [wall-only: noise]"))
-        for d in p.deltas:
+    for rank, (key, deltas) in enumerate(points, 1):
+        att = cmp.attribution.get(key)
+        lines.append(f"#{rank} {key}"
+                     + ("" if att else "  [wall-only: noise]"))
+        for d in deltas:
             rel = f" ({d.rel:+.1%})" if d.rel is not None else ""
+            lines.append(f"    {d.metric}: {_fmt_value(d.baseline)} -> "
+                         f"{_fmt_value(d.current)}{rel}")
+        if att and att["culprit_index"] is not None:
             lines.append(
-                f"    {d.metric}: {_fmt_value(d.a)} -> {_fmt_value(d.b)}{rel}"
-            )
-        if p.culprit or p.culprit_was:
-            lines.append(
-                f"    culprit: decision #{p.culprit_index} diverged"
-            )
-            lines.append(f"      A: {_describe_record(p.culprit_was)}")
-            lines.append(f"      B: {_describe_record(p.culprit)}")
-        elif p.note:
-            lines.append(f"    {p.note}")
-    n_sig = sum(1 for p in diff.points if p.significant)
+                f"    culprit: decision #{att['culprit_index']} diverged")
+            lines.append(f"      A: {_describe_record(att['culprit_was'])}")
+            lines.append(f"      B: {_describe_record(att['culprit'])}")
+        elif att:
+            lines.append(f"    {att['note']}")
+    n_sig = len(cmp.attribution)
     lines.append(
-        f"verdict: {'DIVERGED' if diff.significant else 'NOISE-ONLY'} "
+        f"verdict: {'DIVERGED' if cmp.diverged else 'NOISE-ONLY'} "
         f"({n_sig} significant point{'s' if n_sig != 1 else ''} of "
-        f"{diff.n_compared} compared)"
+        f"{cmp.n_compared} compared)"
     )
     return "\n".join(lines)
 
@@ -659,17 +656,16 @@ def format_bench_table(snapshot: Mapping) -> str:
     return "\n".join(lines)
 
 
-def format_regression_table(comparison, title: str = "bench comparison",
+def format_regression_table(cmp, title: str = "bench comparison",
                             show_ok: bool = False) -> str:
-    """Per-metric verdict of one baseline-vs-current comparison
-    (:func:`repro.obs.bench.compare_snapshots`).
+    """The ``bench --compare`` view of a
+    :class:`~repro.obs.compare.Comparison`: per-metric verdicts.
 
     Failing rows (regressed wall time, drifted simulated counters,
     vanished points, incomparable snapshots) always print; ``show_ok``
     adds the passing rows too.
     """
-    rows = [r for r in comparison.rows
-            if show_ok or r.status not in ("ok",)]
+    rows = [r for r in cmp.gate_rows if show_ok or r.status != "ok"]
     lines = [title]
     header = (
         f"{'point':22s} {'metric':28s} {'baseline':>14s} "
@@ -680,23 +676,18 @@ def format_regression_table(comparison, title: str = "bench comparison",
     if not rows:
         lines.append("(all metrics within thresholds)")
     for r in rows:
-        if isinstance(r.baseline, (int, float)) and \
-                isinstance(r.current, (int, float)) and \
-                not isinstance(r.baseline, bool) and r.baseline:
-            delta = f"{(r.current - r.baseline) / r.baseline:+.1%}"
-        else:
-            delta = "-"
+        delta = f"{r.rel:+.1%}" if r.rel is not None else "-"
         status = r.status + (f" ({r.note})" if r.note else "")
         lines.append(
             f"{r.point:22s} {r.metric:28s} {_fmt_value(r.baseline):>14s} "
             f"{_fmt_value(r.current):>14s} {delta:>9s}  {status}"
         )
-    n_fail = len(comparison.regressions)
-    gate = "on" if comparison.wall_gated else "off (different host)"
+    n_fail = len(cmp.regressions)
+    gate = "on" if cmp.wall_gated else "off (different host)"
     lines.append(
-        f"verdict: {'OK' if comparison.ok else 'REGRESSED'} "
+        f"verdict: {'OK' if cmp.ok else 'REGRESSED'} "
         f"({n_fail} failing metric{'s' if n_fail != 1 else ''}; "
-        f"wall gate {gate}, tol {comparison.wall_tol:.0%})"
+        f"wall gate {gate}, tol {cmp.wall_tol:.0%})"
     )
     return "\n".join(lines)
 
@@ -740,28 +731,29 @@ def format_ledger_table(ledger: Mapping, title: str = "wall-time ledger",
     return "\n".join(lines)
 
 
-def format_perf_diff_table(pd, title: str = "perf diff",
+def format_perf_diff_table(cmp, title: str = "perf diff",
                            top: int = 20) -> str:
-    """Ranked culprit table of one :func:`repro.obs.perf.perf_diff`:
-    the ledger rows whose self time (or deterministic count) moved,
-    largest absolute movement first."""
+    """The ``perf diff`` view of a
+    :class:`~repro.obs.compare.Comparison`: the ledger rows whose self
+    time (or deterministic structure) moved, largest self-time
+    movement first."""
     lines = [title]
-    gate = "on" if pd.wall_gated else (
-        f"off ({pd.host_note})" if pd.host_note else "off (different host)")
+    gate = "on" if cmp.wall_gated else f"off ({cmp.host_note})"
     lines.append(
-        f"compared {pd.n_points} point{'s' if pd.n_points != 1 else ''}, "
-        f"{pd.n_rows} ledger rows; wall gate {gate}, "
-        f"tol {pd.wall_tol:.0%}, floor {pd.wall_abs_floor * 1e3:.0f} ms"
+        f"compared {cmp.n_compared} point"
+        f"{'s' if cmp.n_compared != 1 else ''}, {cmp.n_ledger_rows} "
+        f"ledger rows; wall gate {gate}, tol {cmp.wall_tol:.0%}, "
+        f"floor {cmp.wall_abs_floor * 1e3:.0f} ms"
     )
-    culprits = pd.culprits
-    if culprits:
+    moved = cmp.moved
+    if moved:
         header = (
             f"{'rank':4s} {'point':20s} {'row':26s} {'base ms':>9s} "
             f"{'cur ms':>9s} {'delta ms':>9s}  status"
         )
         lines.append(header)
         lines.append("-" * len(header))
-        for rank, r in enumerate(culprits[:top], 1):
+        for rank, r in enumerate(moved[:top], 1):
             base = "-" if r.baseline is None else f"{r.baseline * 1e3:.3f}"
             cur = "-" if r.current is None else f"{r.current * 1e3:.3f}"
             status = r.status + (f" ({r.note})" if r.note else "")
@@ -769,15 +761,15 @@ def format_perf_diff_table(pd, title: str = "perf diff",
                 f"#{rank:<3d} {r.point:20s} {r.row:26s} {base:>9s} "
                 f"{cur:>9s} {r.delta * 1e3:+9.3f}  {status}"
             )
-        if len(culprits) > top:
-            lines.append(f"... {len(culprits) - top} more rows")
+        if len(moved) > top:
+            lines.append(f"... {len(moved) - top} more rows")
     else:
         lines.append("(no significant self-time or count movement)")
-    for note in pd.notes:
+    for note in cmp.perf_notes():
         lines.append(f"note: {note}")
-    n = len(culprits)
+    n = len(moved)
     lines.append(
-        f"verdict: {'SIGNIFICANT' if pd.significant else 'QUIET'} "
+        f"verdict: {'SIGNIFICANT' if cmp.significant else 'QUIET'} "
         f"({n} row{'s' if n != 1 else ''} moved)"
     )
     return "\n".join(lines)

@@ -1,4 +1,5 @@
-"""Atomic, durable file writes — the one implementation.
+"""Atomic, durable file writes and corrupt-file quarantine — the one
+implementation of each.
 
 Historically three near-identical temp-file-plus-rename snippets lived
 in :mod:`repro.pipeline.cache`, :mod:`repro.pipeline.store` and
@@ -26,6 +27,10 @@ tests can reach every recovery branch deterministically:
   destination and the syncs are skipped, simulating a torn write that
   a crash (or a lying disk) made visible.  ``repro fsck`` and the
   corrupt-entry quarantine paths exist to detect exactly this.
+
+:func:`quarantine` is the other half: the disk cache and the result
+store both move a corrupt entry aside with it, into a directory capped
+at the newest :data:`QUARANTINE_KEEP` files.
 """
 
 from __future__ import annotations
@@ -34,11 +39,16 @@ import errno
 import os
 import tempfile
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from repro import faults
 
-__all__ = ["fsync_dir", "write_atomic"]
+__all__ = ["QUARANTINE_KEEP", "fsync_dir", "quarantine", "write_atomic"]
+
+# The quarantine directory keeps only the newest K corrupt entries:
+# enough to post-mortem a bad run, bounded under a chaos loop that
+# corrupts entries forever.
+QUARANTINE_KEEP = 32
 
 
 def fsync_dir(path: os.PathLike) -> None:
@@ -96,3 +106,35 @@ def write_atomic(path: os.PathLike, data: Union[str, bytes],
     if fsync:
         fsync_dir(path.parent)
     return path
+
+
+def quarantine(path: os.PathLike, qdir: os.PathLike) -> Optional[int]:
+    """Move a corrupt file out of the lookup path into ``qdir`` (on
+    failure delete it instead), then prune ``qdir`` to its newest
+    :data:`QUARANTINE_KEEP` files.
+
+    Returns how many old quarantined files were pruned, or ``None``
+    when ``path`` could be neither moved nor deleted.
+    """
+    path, qdir = Path(path), Path(qdir)
+    try:
+        qdir.mkdir(parents=True, exist_ok=True)
+        os.replace(path, qdir / path.name)
+    except OSError:
+        try:
+            os.unlink(path)
+        except OSError:
+            return None
+    try:
+        entries = sorted((p for p in qdir.iterdir() if p.is_file()),
+                         key=lambda p: p.stat().st_mtime, reverse=True)
+    except OSError:
+        return 0
+    pruned = 0
+    for stale in entries[QUARANTINE_KEEP:]:
+        try:
+            os.unlink(stale)
+        except OSError:
+            continue
+        pruned += 1
+    return pruned

@@ -8,7 +8,8 @@ import os
 import pytest
 
 from repro import faults, obs
-from repro.util.atomicio import write_atomic
+from repro.util import atomicio
+from repro.util.atomicio import quarantine, write_atomic
 
 
 @pytest.fixture(autouse=True)
@@ -62,6 +63,25 @@ class TestWriteAtomic:
             write_atomic(target, "x")
         names = {f.name for f in tmp_path.iterdir()}
         assert names == {"dir-not-file"}
+
+
+class TestQuarantine:
+    def test_moves_aside_and_prunes_to_newest(self, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(atomicio, "QUARANTINE_KEEP", 2)
+        qdir = tmp_path / "quarantine"
+        pruned = []
+        for i in range(4):
+            bad = tmp_path / f"bad{i}"
+            bad.write_text("garbage")
+            os.utime(bad, (i, i))
+            pruned.append(quarantine(bad, qdir))
+            assert not bad.exists()
+        assert pruned == [0, 0, 1, 1]
+        assert sorted(p.name for p in qdir.iterdir()) == ["bad2", "bad3"]
+
+    def test_vanished_file_reports_none(self, tmp_path):
+        assert quarantine(tmp_path / "gone", tmp_path / "q") is None
 
 
 class TestDiskFaults:

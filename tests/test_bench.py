@@ -1,5 +1,5 @@
-"""Persistent perf-regression harness (PR-4): snapshot shape,
-persistence + pointer files, and the noise-aware comparison gate.
+"""Persistent perf-regression harness: snapshot shape, persistence +
+pointer files, and the noise-aware comparison gate.
 
 The gate's contract: identical snapshots pass; any drift in a
 deterministic simulated counter fails (exact match); wall time fails
@@ -13,13 +13,9 @@ import pytest
 
 from repro import obs
 from repro.__main__ import main
-from repro.obs import bench
-from repro.obs.bench import (
-    compare_snapshots,
-    load_snapshot,
-    run_bench,
-    save_snapshot,
-)
+from repro.obs import bench, compare
+from repro.obs.bench import run_bench, save_snapshot
+from repro.obs.compare import compare_runs, load_run, run_record
 from repro.pipeline import reset_session
 from repro.report import format_bench_table, format_regression_table
 
@@ -33,6 +29,16 @@ def _clean_state():
     obs.disable()
     obs.reset()
     reset_session()
+
+
+def _compare(base, cur, **kw):
+    return compare_runs(run_record(base), run_record(cur), **kw)
+
+
+def _latest_snapshot(latest):
+    """The raw snapshot a pointer file names (for doctoring)."""
+    with open(json.load(open(latest))["pointer"]) as fh:
+        return json.load(fh)
 
 
 @pytest.fixture(scope="module")
@@ -106,8 +112,8 @@ class TestPersistence:
         latest = tmp_path / "BENCH_latest.json"
         path, lpath = save_snapshot(snap, out_dir=out, latest=latest)
         assert json.load(open(lpath))["pointer"] == path
-        assert load_snapshot(path) == snap
-        assert load_snapshot(latest) == snap
+        assert load_run(path) == run_record(snap)
+        assert load_run(latest) == run_record(snap)
 
     def test_relative_pointer_resolves_against_pointer_dir(self, snap,
                                                            tmp_path):
@@ -116,7 +122,7 @@ class TestPersistence:
         pointer = out / "latest.json"
         name = path.rsplit("/", 1)[-1]
         pointer.write_text(json.dumps({"schema": 1, "pointer": name}))
-        assert load_snapshot(pointer) == snap
+        assert load_run(pointer) == run_record(snap)
 
     def test_collision_gets_serial_suffix(self, snap, tmp_path):
         out = tmp_path / "bench"
@@ -130,12 +136,12 @@ class TestPersistence:
         a.write_text(json.dumps({"pointer": str(b)}))
         b.write_text(json.dumps({"pointer": str(a)}))
         with pytest.raises(ValueError, match="pointer chain"):
-            load_snapshot(a)
+            load_run(a)
 
 
 class TestCompare:
     def test_identical_snapshots_pass(self, snap):
-        cmp = compare_snapshots(snap, copy.deepcopy(snap))
+        cmp = _compare(snap, copy.deepcopy(snap))
         assert cmp.ok
         assert cmp.wall_gated
         table = format_regression_table(cmp)
@@ -144,7 +150,7 @@ class TestCompare:
     def test_perturbed_sim_counter_fails_exactly(self, snap):
         cur = copy.deepcopy(snap)
         cur["points"][0]["sim"]["n_accesses"] += 1
-        cmp = compare_snapshots(snap, cur)
+        cmp = _compare(snap, cur)
         assert not cmp.ok
         bad = cmp.regressions
         assert [r.metric for r in bad] == ["sim.n_accesses"]
@@ -156,7 +162,7 @@ class TestCompare:
         cur = copy.deepcopy(snap)
         for p in cur["points"]:
             p["wall"]["min"] = p["wall"]["min"] + 1.0  # way past both gates
-        cmp = compare_snapshots(snap, cur, wall_tol=0.30)
+        cmp = _compare(snap, cur, wall_tol=0.30)
         assert not cmp.ok
         assert all(r.metric == "wall.min" and r.status == "regressed"
                    for r in cmp.regressions)
@@ -165,7 +171,7 @@ class TestCompare:
         cur = copy.deepcopy(snap)
         for p in cur["points"]:
             p["wall"]["min"] = p["wall"]["min"] * 1.1
-        assert compare_snapshots(snap, cur, wall_tol=0.30).ok
+        assert _compare(snap, cur, wall_tol=0.30).ok
 
     def test_sub_floor_jitter_never_regresses(self, snap):
         # Huge relative swing on a tiny measurement stays under the
@@ -175,9 +181,9 @@ class TestCompare:
         for bp, cp in zip(base["points"], cur["points"]):
             bp["wall"]["min"] = 0.001
             cp["wall"]["min"] = 0.003  # +200% relative, +2ms absolute
-        assert compare_snapshots(base, cur, wall_tol=0.30,
+        assert _compare(base, cur, wall_tol=0.30,
                                  wall_abs_floor=0.010).ok
-        assert not compare_snapshots(base, cur, wall_tol=0.30,
+        assert not _compare(base, cur, wall_tol=0.30,
                                      wall_abs_floor=0.0).ok
 
     def test_different_host_skips_wall_gate(self, snap):
@@ -185,37 +191,37 @@ class TestCompare:
         cur["host"] = dict(cur["host"], node="elsewhere")
         for p in cur["points"]:
             p["wall"]["min"] = p["wall"]["min"] * 100.0
-        cmp = compare_snapshots(snap, cur)
+        cmp = _compare(snap, cur)
         assert cmp.ok and not cmp.wall_gated
-        assert any(r.status == "skipped" for r in cmp.rows)
+        assert any(r.status == "skipped" for r in cmp.deltas)
         assert "wall gate off" in format_regression_table(cmp)
 
     def test_vanished_point_fails(self, snap):
         cur = copy.deepcopy(snap)
         cur["points"] = cur["points"][1:]
-        cmp = compare_snapshots(snap, cur)
+        cmp = _compare(snap, cur)
         assert not cmp.ok
         assert cmp.regressions[0].status == "missing"
 
     def test_new_point_reported_not_failing(self, snap):
         base = copy.deepcopy(snap)
         base["points"] = base["points"][1:]
-        cmp = compare_snapshots(base, snap)
+        cmp = _compare(base, snap)
         assert cmp.ok
-        assert any(r.status == "new" for r in cmp.rows)
+        assert any(r.status == "new" for r in cmp.deltas)
 
     def test_config_mismatch_incomparable(self, snap):
         cur = copy.deepcopy(snap)
         cur["config"] = dict(cur["config"], n=99)
-        cmp = compare_snapshots(snap, cur)
+        cmp = _compare(snap, cur)
         assert not cmp.ok
-        assert cmp.rows[0].status == "incomparable"
+        assert cmp.regressions[0].status == "incomparable"
 
     def test_schema_mismatch_incomparable(self, snap):
         cur = copy.deepcopy(snap)
         cur["schema"] = 99
-        cmp = compare_snapshots(snap, cur)
-        assert not cmp.ok and cmp.rows[0].metric == "schema"
+        cmp = _compare(snap, cur)
+        assert not cmp.ok and cmp.regressions[0].metric == "schema"
 
     def test_schema2_snapshot_loads_but_is_incomparable(self, snap,
                                                         tmp_path):
@@ -230,10 +236,10 @@ class TestCompare:
             p.pop("perf")
         path = tmp_path / "old.json"
         path.write_text(json.dumps(old))
-        loaded = load_snapshot(path)
+        loaded = load_run(path)
         assert loaded["schema"] == 2
-        cmp = compare_snapshots(loaded, snap)
-        assert not cmp.ok and cmp.rows[0].status == "incomparable"
+        cmp = compare_runs(loaded, run_record(snap))
+        assert not cmp.ok and cmp.regressions[0].status == "incomparable"
 
     def test_missing_ledger_in_baseline_not_compared(self, snap):
         # Same schema but a point without "perf" (defensive): the
@@ -241,7 +247,7 @@ class TestCompare:
         base = copy.deepcopy(snap)
         for p in base["points"]:
             p.pop("perf")
-        assert compare_snapshots(base, snap).ok
+        assert _compare(base, snap).ok
 
 
 class TestCompareLedger:
@@ -252,19 +258,19 @@ class TestCompareLedger:
         cur = copy.deepcopy(snap)
         row = cur["points"][0]["perf"]["ledger"]["rows"][0]
         row["count"] += 1
-        cmp = compare_snapshots(snap, cur)
+        cmp = _compare(snap, cur)
         assert not cmp.ok
         bad = cmp.regressions
         assert len(bad) == 1
-        assert bad[0].metric.startswith("perf.") and \
-            bad[0].metric.endswith(".count")
+        assert bad[0].metric.startswith("perf.")
         assert bad[0].status == "changed"
+        assert "count drifted" in bad[0].note
 
     def test_ledger_row_vanished_fails(self, snap):
         cur = copy.deepcopy(snap)
         led = cur["points"][0]["perf"]["ledger"]
         led["rows"] = [r for r in led["rows"] if r["kind"] != "pass"]
-        cmp = compare_snapshots(snap, cur)
+        cmp = _compare(snap, cur)
         assert not cmp.ok
         assert all(r.note == "ledger row appeared/disappeared"
                    for r in cmp.regressions)
@@ -279,9 +285,9 @@ class TestCompareLedger:
                               cp["perf"]["ledger"]["rows"]):
                 br["self_s"] = 0.001
                 cr["self_s"] = 0.003
-        assert compare_snapshots(base, cur).ok
+        assert _compare(base, cur).ok
         cur["points"][0]["perf"]["ledger"]["rows"][0]["self_s"] = 1.0
-        cmp = compare_snapshots(base, cur)
+        cmp = _compare(base, cur)
         assert not cmp.ok
         assert cmp.regressions[0].metric.endswith(".self_s")
 
@@ -291,13 +297,13 @@ class TestCompareLedger:
         for p in cur["points"]:
             for r in p["perf"]["ledger"]["rows"]:
                 r["self_s"] += 10.0
-        assert compare_snapshots(snap, cur).ok
+        assert _compare(snap, cur).ok
 
     def test_host_mismatch_skip_message_names_fields(self, snap):
         cur = copy.deepcopy(snap)
         cur["host"] = dict(cur["host"], node="elsewhere", cores=9999)
-        cmp = compare_snapshots(snap, cur)
-        skipped = [r for r in cmp.rows if r.status == "skipped"]
+        cmp = _compare(snap, cur)
+        skipped = [r for r in cmp.deltas if r.status == "skipped"]
         assert skipped
         assert "node" in skipped[0].note and "cores" in skipped[0].note
         assert "wall gate off" in skipped[0].note
@@ -312,11 +318,11 @@ class TestHostFingerprint:
     def test_describe_host_mismatch(self):
         a = {"node": "a", "cpu": "x", "cores": 4}
         b = {"node": "b", "cpu": "x", "cores": 8}
-        msg = bench.describe_host_mismatch(a, b)
+        msg = compare.describe_host_mismatch(a, b)
         assert "node: 'a' vs 'b'" in msg
         assert "cores: 4 vs 8" in msg
         assert "cpu" not in msg
-        assert bench.describe_host_mismatch(a, dict(a)) == ""
+        assert compare.describe_host_mismatch(a, dict(a)) == ""
 
 
 class TestBenchTable:
@@ -347,7 +353,7 @@ class TestBenchCLI:
                                                       capsys):
         assert self._run(tmp_path) == 0
         latest = tmp_path / "BENCH_latest.json"
-        baseline = load_snapshot(latest)
+        baseline = _latest_snapshot(latest)
         baseline["points"][0]["sim"]["total_time"] += 1.0
         doctored = tmp_path / "doctored.json"
         doctored.write_text(json.dumps(baseline))
@@ -360,7 +366,7 @@ class TestBenchCLI:
         # A tripped wall gate must auto-print the differential
         # attribution (perf culprit table) next to the provenance diff.
         assert self._run(tmp_path) == 0
-        baseline = load_snapshot(tmp_path / "BENCH_latest.json")
+        baseline = _latest_snapshot(tmp_path / "BENCH_latest.json")
         for p in baseline["points"]:
             p["wall"]["min"] = 1e-9
             for r in p["perf"]["ledger"]["rows"]:

@@ -143,9 +143,9 @@ class TestCacheQuarantine:
         assert not path.exists()
 
     def test_quarantine_dir_is_capped(self, tmp_path, monkeypatch):
-        from repro.pipeline import cache as cache_mod
+        from repro.util import atomicio
 
-        monkeypatch.setattr(cache_mod, "QUARANTINE_KEEP", 3)
+        monkeypatch.setattr(atomicio, "QUARANTINE_KEEP", 3)
         obs.enable(reset=True)
         cache = ArtifactCache(disk_dir=tmp_path)
         for i in range(8):

@@ -179,26 +179,28 @@ class TestCollectLocality:
 
 
 class TestBenchRoundTrip:
-    def test_snapshot_carries_locality_and_profile(self, tmp_path):
+    def test_snapshot_carries_locality_and_stacks(self, tmp_path):
         from repro.obs import bench
+        from repro.obs.compare import compare_runs, load_run, run_record
 
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
                                procs=[1], n=8, repeats=1)
         assert snap["schema"] == bench.SCHEMA_VERSION
         point = snap["points"][0]
         assert point["sim"]["locality"]["reuse"]
-        assert point["profile"]["top_self"]
+        assert point["perf"]["stacks"]
+        assert "profile" not in point
         # Round-trip: save, load, exact-match compare.
         path, _ = bench.save_snapshot(snap, out_dir=tmp_path,
                                       latest=None)
-        loaded = bench.load_snapshot(path)
-        assert loaded["points"][0]["sim"]["locality"] == \
-               point["sim"]["locality"]
-        cmp = bench.compare_snapshots(loaded, snap)
-        assert cmp.ok, [r for r in cmp.rows if r.failing]
+        loaded = load_run(path)
+        assert loaded == run_record(snap)
+        cmp = compare_runs(loaded, run_record(snap))
+        assert cmp.ok, cmp.regressions
 
     def test_locality_drift_fails_gate(self, tmp_path):
         from repro.obs import bench
+        from repro.obs.compare import compare_runs, run_record
 
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
                                procs=[1], n=8, repeats=1)
@@ -206,7 +208,7 @@ class TestBenchRoundTrip:
         reuse = mutated["points"][0]["sim"]["locality"]["reuse"]
         first = next(iter(reuse))
         reuse[first]["cold"] += 1
-        cmp = bench.compare_snapshots(snap, mutated)
+        cmp = compare_runs(run_record(snap), run_record(mutated))
         assert not cmp.ok
         assert any("locality" in r.metric for r in cmp.regressions)
 

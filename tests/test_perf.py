@@ -1,4 +1,4 @@
-"""Differential performance attribution (PR-10): the wall-time ledger
+"""Differential performance attribution: the wall-time ledger
 (build, reconciliation contract, anchor rollup), ``perf record``
 payloads, and the ``perf diff`` noise matrix.
 
@@ -23,11 +23,11 @@ from repro.__main__ import main
 from repro.codegen.spmd import parse_scheme
 from repro.obs import bench
 from repro.obs import core as _obs_core
+from repro.obs.compare import compare_runs, point_key, run_record
 from repro.obs.perf import (
     UNATTRIBUTED,
     build_ledger,
     ledger_reconciles,
-    perf_diff,
     record_point,
 )
 from repro.pipeline import reset_session
@@ -45,6 +45,10 @@ def _clean_state():
     obs.reset()
     faults.configure(None)
     reset_session()
+
+
+def _perf_diff(run_a, run_b, **kw):
+    return compare_runs(run_record(run_a), run_record(run_b), **kw)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +110,7 @@ class TestBuildLedger:
         for p in snap["points"]:
             ledger = p["perf"]["ledger"]
             ok, row_sum = ledger_reconciles(ledger)
-            assert ok, (bench.point_key(p), row_sum, ledger["total_s"])
+            assert ok, (point_key(p), row_sum, ledger["total_s"])
             assert ledger["unattributed_s"] >= -1e-9
             names = {r["name"] for r in ledger["rows"]}
             assert UNATTRIBUTED in names
@@ -150,16 +154,16 @@ class TestRecordPoint:
 
 class TestPerfDiff:
     def test_identical_runs_quiet(self, recorded):
-        pd = perf_diff(recorded, copy.deepcopy(recorded))
+        pd = _perf_diff(recorded, copy.deepcopy(recorded))
         assert not pd.significant
-        assert pd.n_points == 1 and pd.rows == []
+        assert pd.n_compared == 1 and pd.moved == []
         assert "QUIET" in format_perf_diff_table(pd)
 
     def test_sub_threshold_drift_quiet(self, recorded):
         cur = copy.deepcopy(recorded)
         for r in cur["points"][0]["perf"]["ledger"]["rows"]:
             r["self_s"] *= 1.05  # +5%, under the 30% relative gate
-        assert not perf_diff(recorded, cur).significant
+        assert not _perf_diff(recorded, cur).significant
 
     def test_sub_floor_jitter_quiet(self, recorded):
         # +200% relative but +2ms absolute: under the 10ms floor.
@@ -169,17 +173,17 @@ class TestPerfDiff:
                           cur["points"][0]["perf"]["ledger"]["rows"]):
             br["self_s"] = 0.001
             cr["self_s"] = 0.003
-        assert not perf_diff(base, cur).significant
-        assert perf_diff(base, cur, wall_abs_floor=0.0).significant
+        assert not _perf_diff(base, cur).significant
+        assert _perf_diff(base, cur, wall_abs_floor=0.0).significant
 
     def test_injected_slowdown_ranked_first(self, recorded):
         cur = copy.deepcopy(recorded)
         rows = cur["points"][0]["perf"]["ledger"]["rows"]
         target = next(r for r in rows if r["kind"] == "pass")
         target["self_s"] += 5.0
-        pd = perf_diff(recorded, cur)
+        pd = _perf_diff(recorded, cur)
         assert pd.significant
-        top = pd.culprits[0]
+        top = pd.moved[0]
         assert top.row == f"pass/{target['name']}"
         assert top.status == "regressed"
         table = format_perf_diff_table(pd)
@@ -190,18 +194,18 @@ class TestPerfDiff:
         cur["host"] = dict(cur["host"], node="elsewhere")
         rows = cur["points"][0]["perf"]["ledger"]["rows"]
         next(r for r in rows if r["kind"] == "pass")["count"] += 1
-        pd = perf_diff(recorded, cur)
+        pd = _perf_diff(recorded, cur)
         assert not pd.wall_gated
         assert pd.significant
-        assert pd.culprits[0].status == "changed"
-        assert "count drifted" in pd.culprits[0].note
+        assert pd.moved[0].status == "changed"
+        assert "count drifted" in pd.moved[0].note
 
     def test_wall_not_gated_cross_host_with_explanation(self, recorded):
         cur = copy.deepcopy(recorded)
         cur["host"] = dict(cur["host"], node="elsewhere")
         for r in cur["points"][0]["perf"]["ledger"]["rows"]:
             r["self_s"] += 10.0
-        pd = perf_diff(recorded, cur)
+        pd = _perf_diff(recorded, cur)
         assert not pd.significant and not pd.wall_gated
         assert "node" in pd.host_note
         assert "node" in format_perf_diff_table(pd)
@@ -210,28 +214,28 @@ class TestPerfDiff:
         cur = copy.deepcopy(recorded)
         led = cur["points"][0]["perf"]["ledger"]
         led["rows"] = [r for r in led["rows"] if r["kind"] != "phase"]
-        pd = perf_diff(recorded, cur)
+        pd = _perf_diff(recorded, cur)
         assert pd.significant
-        assert all(r.status == "changed" for r in pd.culprits)
+        assert all(r.status == "changed" for r in pd.moved)
 
     def test_run_without_ledger_skipped_with_note(self, recorded):
         old = copy.deepcopy(recorded)
         for p in old["points"]:
             p.pop("perf")
-        pd = perf_diff(old, recorded)
+        pd = _perf_diff(old, recorded)
         assert not pd.significant
-        assert any("no ledger" in n for n in pd.notes)
+        assert any("no ledger" in n for n in pd.perf_notes())
 
     def test_diff_accepts_bench_snapshots(self):
         snap = bench.run_bench(apps=["simple"], schemes=["base"],
                                procs=[1], n=8, repeats=1)
-        pd = perf_diff(snap, copy.deepcopy(snap))
-        assert pd.n_points == 1 and not pd.significant
+        pd = _perf_diff(snap, copy.deepcopy(snap))
+        assert pd.n_compared == 1 and not pd.significant
 
     def test_as_dict_json_safe(self, recorded):
         cur = copy.deepcopy(recorded)
         cur["points"][0]["perf"]["ledger"]["rows"][0]["self_s"] += 5.0
-        d = perf_diff(recorded, cur).as_dict()
+        d = _perf_diff(recorded, cur).perf_dict()
         assert json.loads(json.dumps(d)) == d
         assert d["significant"] is True
 
@@ -264,9 +268,9 @@ class TestPassStallFault:
             stalled = record_point("simple", parse_scheme("data"), 2, n=8)
         finally:
             faults.configure(None)
-        pd = perf_diff(base, stalled, wall_abs_floor=0.02)
+        pd = _perf_diff(base, stalled, wall_abs_floor=0.02)
         assert pd.significant
-        assert pd.culprits[0].row == "pass/layout"
+        assert pd.moved[0].row == "pass/layout"
 
 
 class TestPerfCLI:

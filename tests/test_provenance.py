@@ -10,6 +10,7 @@ from repro.apps import build_app
 from repro.codegen.spmd import parse_scheme
 from repro.obs import provenance
 from repro.obs.bench import run_bench
+from repro.obs.compare import compare_runs, run_record
 from repro.pipeline import ArtifactCache, CompileSession
 
 
@@ -98,6 +99,15 @@ class TestCacheReplay:
         assert records == []
 
 
+def _diff(run_a, run_b):
+    return compare_runs(run_record(run_a), run_record(run_b))
+
+
+def _top(diff):
+    """The attribution of the top-ranked changed point."""
+    return diff.attribution[diff.changed_points()[0][0]]
+
+
 class TestDiff:
     def _snap(self, **kw):
         return run_bench(apps=["simple"], schemes=[OPT], procs=[4],
@@ -106,9 +116,9 @@ class TestDiff:
     def test_identical_runs(self):
         snap = self._snap()
         assert snap["points"][0]["provenance"]
-        diff = provenance.diff_runs(snap, snap)
+        diff = _diff(snap, snap)
         assert diff.identical
-        assert not diff.significant
+        assert not diff.diverged
         assert diff.n_compared == 1
 
     def test_forced_layout_change_is_attributed(self, monkeypatch,
@@ -133,13 +143,13 @@ class TestDiff:
         snap_b = self._snap()
         monkeypatch.undo()
 
-        diff = provenance.diff_runs(snap_a, snap_b)
-        assert diff.significant
-        point = diff.points[0]
-        assert point.culprit is not None
-        assert point.culprit["stage"] == "layout"
-        assert point.culprit["chosen"] == "identity"
-        assert point.culprit_was["chosen"] == "strip-mine+permute"
+        diff = _diff(snap_a, snap_b)
+        assert diff.diverged
+        point = _top(diff)
+        assert point["culprit"] is not None
+        assert point["culprit"]["stage"] == "layout"
+        assert point["culprit"]["chosen"] == "identity"
+        assert point["culprit_was"]["chosen"] == "strip-mine+permute"
 
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -174,10 +184,10 @@ class TestDiff:
         for p in legacy["points"]:
             p.pop("provenance", None)
             p["sim"]["total_time"] += 1.0
-        diff = provenance.diff_runs(legacy, snap)
-        assert diff.significant
-        assert diff.points[0].culprit is None
-        assert "provenance" in diff.points[0].note
+        diff = _diff(legacy, snap)
+        assert diff.diverged
+        assert _top(diff)["culprit"] is None
+        assert "provenance" in _top(diff)["note"]
 
     def test_machine_fp_recorded_in_bench_points(self):
         snap = self._snap()
@@ -195,12 +205,12 @@ class TestDiff:
         for p in snap_b["points"]:
             p["machine_fp"] = "f" * 64
             p["sim"]["total_time"] *= 2.0
-        diff = provenance.diff_runs(snap_a, snap_b)
-        assert diff.significant
-        point = diff.points[0]
-        assert point.culprit is None
-        assert "machine fingerprint differs" in point.note
-        assert "machine-config change" in point.note
+        diff = _diff(snap_a, snap_b)
+        assert diff.diverged
+        point = _top(diff)
+        assert point["culprit"] is None
+        assert "machine fingerprint differs" in point["note"]
+        assert "machine-config change" in point["note"]
 
     def test_wall_only_delta_is_noise(self):
         snap = self._snap()
@@ -210,9 +220,9 @@ class TestDiff:
                 k: (v * 1.5 if isinstance(v, (int, float)) else v)
                 for k, v in p["wall"].items()
             }
-        diff = provenance.diff_runs(snap, jittered)
+        diff = _diff(snap, jittered)
         assert not diff.identical
-        assert not diff.significant  # wall deltas never gate
+        assert not diff.diverged  # wall deltas never gate
 
 
 class TestExplainCli:

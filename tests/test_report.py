@@ -129,21 +129,21 @@ class TestExplainTree:
 
 class TestDiffTable:
     def test_identical_one_liner(self):
-        from repro.obs.provenance import RunDiff
+        from repro.obs.compare import Comparison
         from repro.report import format_diff_table
 
-        diff = RunDiff()
-        diff.n_compared = 3
+        diff = Comparison(n_compared=3)
         text = format_diff_table(diff)
         assert "(runs identical: 3 points compared, no deltas)" in text
 
     def test_no_overlap(self):
-        from repro.obs.provenance import RunDiff
+        from repro.obs.compare import Comparison, Delta
         from repro.report import format_diff_table
 
-        diff = RunDiff()
-        diff.missing_in_b = ["a/base/P1"]
-        diff.missing_in_a = ["b/base/P1"]
+        diff = Comparison(deltas=[
+            Delta("a/base/P1", "*", "present", "absent", "missing"),
+            Delta("b/base/P1", "*", "absent", "present", "new"),
+        ])
         text = format_diff_table(diff)
         assert "present in A only" in text
         assert "present in B only" in text

@@ -11,12 +11,12 @@ from repro.machine.cost import CostParams
 from repro.machine.dash import dash_machine, scaled_dash
 from repro.pipeline.store import (
     MODEL_VERSION,
-    QUARANTINE_KEEP,
     ResultStore,
     payload_checksum,
     resolve_store_dir,
     result_key,
 )
+from repro.util.atomicio import QUARANTINE_KEEP
 
 
 # -- machine fingerprint (what the keys hang off) ----------------------------
