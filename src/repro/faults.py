@@ -26,6 +26,10 @@ Recognized sites and what the consumers do when they fire:
                    pass with ``stall_pass=<name>``.  The perf CI job
                    plants a deterministic wall-time culprit this way
                    and requires ``repro perf diff`` to attribute it
+``sim.stall``      the simulator sleeps ``stall_s`` seconds inside its
+                   ``sim.classify`` span — a pure slowdown of one
+                   machine layer; the perf CI job plants it and requires
+                   ``repro perf diff`` to name ``sim/classify``
 ``worker.crash``   a batch worker process hard-exits (``os._exit``) →
                    the driver respawns the pool and retries
 ``worker.stall``   a batch worker sleeps ``stall_s`` seconds → the
@@ -70,6 +74,7 @@ __all__ = [
     "current_plan",
     "maybe_driver_kill",
     "maybe_pass_stall",
+    "maybe_sim_stall",
     "maybe_worker_faults",
     "should_fire",
 ]
@@ -77,7 +82,7 @@ __all__ = [
 ENV_FLAG = "REPRO_FAULTS"
 
 SITES = (
-    "cache.read", "cache.write", "pass", "pass.stall",
+    "cache.read", "cache.write", "pass", "pass.stall", "sim.stall",
     "worker.crash", "worker.stall",
     "disk.enospc", "disk.torn_write", "driver.kill",
 )
@@ -234,6 +239,15 @@ def maybe_pass_stall(pass_name: str) -> None:
     if plan.stall_pass and plan.stall_pass != pass_name:
         return
     if should_fire("pass.stall"):
+        time.sleep(plan.stall_seconds)
+
+
+def maybe_sim_stall() -> None:
+    """Fire the ``sim.stall`` fault: sleep ``stall_s`` seconds inside
+    the simulator's ``sim.classify`` span, so the ledger books the
+    sleep against ``sim/classify``."""
+    plan = current_plan()
+    if plan is not None and should_fire("sim.stall"):
         time.sleep(plan.stall_seconds)
 
 

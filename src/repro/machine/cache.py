@@ -15,7 +15,6 @@ set-associative LRU variant is provided for model-sensitivity tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -50,74 +49,82 @@ class CacheConfig:
         return line % self.nsets
 
 
-def segmented_prev_equal(
-    group: np.ndarray, value: np.ndarray
-) -> np.ndarray:
-    """For each position i (in stream order), True iff the previous
-    position with the same ``group`` id had the same ``value``.
-
-    Positions with no predecessor in their group return False.  This is
-    the direct-mapped hit test with group=set and value=line.
-    """
-    n = len(group)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    pos = np.arange(n)
-    order = np.lexsort((pos, group))
-    g = group[order]
-    v = value[order]
-    same_group = np.zeros(n, dtype=bool)
-    same_group[1:] = g[1:] == g[:-1]
-    eq = np.zeros(n, dtype=bool)
-    eq[1:] = (v[1:] == v[:-1]) & same_group[1:]
-    out = np.zeros(n, dtype=bool)
-    out[order] = eq
-    return out
+def group_order(key: np.ndarray, nkeys: int) -> np.ndarray:
+    """A stable permutation making equal ``key``s (ints in ``[0, nkeys)``)
+    contiguous: an LSD radix over 16-bit digits, which NumPy's stable
+    ``argsort`` radix-sorts.  Callers rely only on groups being
+    contiguous and in stream order, so one more stable pass on another
+    key (``proc`` after ``line``) refines an order into a finer one."""
+    order = np.argsort(key.astype(np.uint16), kind="stable")
+    shift = 16
+    while nkeys > 1 << shift:
+        digit = (key[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
-def segmented_prev_position(
-    group: np.ndarray, position: np.ndarray
-) -> np.ndarray:
-    """For each access, the ``position`` of the previous access with the
-    same ``group`` id (or -1)."""
-    n = len(group)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    idx = np.arange(n)
-    order = np.lexsort((position, group))
-    g = group[order]
-    p = position[order]
-    prev = np.full(n, -1, dtype=np.int64)
-    same = np.zeros(n, dtype=bool)
-    same[1:] = g[1:] == g[:-1]
-    prev[1:][same[1:]] = p[:-1][same[1:]]
-    out = np.full(n, -1, dtype=np.int64)
-    out[order] = prev
-    return out
+def carry_prev(keys: np.ndarray, values: np.ndarray, carried: np.ndarray,
+               mark: "np.ndarray | None" = None) -> np.ndarray:
+    """Sort by group, carry state: the one scan of the cache and
+    coherence models.  ``keys``/``values`` are in group order
+    (:func:`group_order`).  Returns, per element, the value of the
+    previous *marked* element of its group (all are marked when
+    ``mark`` is None), or ``carried[key]`` (-1 = never) for the group's
+    first in this chunk; then stores each group's last marked value
+    back into ``carried`` for the stream's next chunk."""
+    n = len(keys)
+    head = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    tail = np.ones(n, dtype=bool)
+    tail[:-1] = head[1:]
+    if mark is None:
+        upto = values
+    else:
+        # Forward-fill from the last marked element or group head (so
+        # nothing leaks across groups); an unmarked head stands for
+        # the carried value.
+        idx = np.where(mark | head, np.arange(n), 0)
+        np.maximum.accumulate(idx, out=idx)
+        base = values.copy()
+        seed = head & ~mark
+        base[seed] = carried[keys[seed]]
+        upto = base[idx]
+    prev = np.empty(n, dtype=values.dtype)
+    prev[1:] = upto[:-1]
+    prev[head] = carried[keys[head]]
+    carried[keys[tail]] = upto[tail]
+    return prev
 
 
-def direct_mapped_hits(
-    proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig
-) -> np.ndarray:
+def direct_mapped_hits(proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig,
+                       last: "np.ndarray | None" = None) -> np.ndarray:
     """Tag-match hit flags for every access of a merged multi-processor
-    stream (in stream order), ignoring coherence."""
+    stream (in stream order), ignoring coherence.  ``last`` carries the
+    line held by each ``(proc, set)`` slot (``proc * nsets + set``, -1 =
+    empty) between chunks of a stream; None starts from empty caches."""
     line = cfg.line_of(addr)
-    set_idx = cfg.set_of(line)
-    # Group by (proc, set): encode into one id.
-    group = proc * cfg.nsets + set_idx
-    return segmented_prev_equal(group, line)
+    key = proc * cfg.nsets + cfg.set_of(line)
+    if last is None:
+        last = np.full(int(key.max(initial=-1)) + 1, -1, dtype=np.int64)
+    order = group_order(key, len(last))
+    ls = line[order]
+    hits = np.empty(len(addr), dtype=bool)
+    hits[order] = carry_prev(key[order], ls, last) == ls
+    return hits
 
 
-def assoc_lru_hits(
-    proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig
-) -> np.ndarray:
+def assoc_lru_hits(proc: np.ndarray, addr: np.ndarray, cfg: CacheConfig,
+                   state: "dict | None" = None) -> np.ndarray:
     """Exact LRU set-associative hit flags (Python per (proc,set) group;
-    use only on small traces / sensitivity tests)."""
+    use only on small traces / sensitivity tests).  ``state`` carries
+    the LRU stack of each ``(proc, set)`` between chunks of one stream
+    and is updated in place; None starts from empty caches."""
     n = len(addr)
     line = cfg.line_of(addr)
     set_idx = cfg.set_of(line)
     hits = np.zeros(n, dtype=bool)
-    state: dict = {}
+    state = {} if state is None else state
     for i in range(n):
         key = (int(proc[i]), int(set_idx[i]))
         ways = state.setdefault(key, [])

@@ -3,8 +3,8 @@
 Two implementations of the same protocol (write-invalidate MSI over
 private direct-mapped caches, lockstep global interleaving):
 
-* :func:`classify_accesses` — fully vectorized over the merged global
-  stream; used by every benchmark sweep;
+* :func:`classify_accesses` — vectorized sort-and-carry over the merged
+  global stream, chunk by chunk; used by every benchmark sweep;
 * :class:`ExactCoherentSim` — a straightforward event-at-a-time Python
   simulator kept as an executable specification; the test suite checks
   the two agree access-for-access on random traces.
@@ -22,7 +22,7 @@ Miss taxonomy (Section 1.1):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
@@ -31,32 +31,10 @@ from repro import obs
 from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
+    carry_prev,
     direct_mapped_hits,
-    segmented_prev_position,
+    group_order,
 )
-
-
-def _last_write_before(group: np.ndarray, write: np.ndarray) -> np.ndarray:
-    """For each access i (stream order), the largest stream position
-    j < i with ``group[j] == group[i]`` and ``write[j]`` (or -1)."""
-    n = len(group)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    pos = np.arange(n, dtype=np.int64)
-    order = np.lexsort((pos, group))
-    g = group[order]
-    w = np.where(write[order], pos[order], np.int64(-1))
-    # Segmented running max via per-group bias.
-    gid = np.cumsum(np.concatenate(([0], (g[1:] != g[:-1]).astype(np.int64))))
-    large = np.int64(n + 2)
-    acc = np.maximum.accumulate(w + gid * large)
-    prev = np.full(n, -1, dtype=np.int64)
-    same = np.zeros(n, dtype=bool)
-    same[1:] = g[1:] == g[:-1]
-    prev[1:][same[1:]] = acc[:-1][same[1:]] - gid[1:][same[1:]] * large
-    out = np.full(n, -1, dtype=np.int64)
-    out[order] = np.maximum(prev, -1)
-    return out
 
 
 @dataclass
@@ -90,89 +68,121 @@ class AccessClassification:
         return ~self.hit
 
 
+class CoherenceState:
+    """What :func:`classify_accesses` carries from one chunk of a
+    stream into the next.  ``last`` holds dense per-group arrays by
+    group key (-1 = never): the line in each ``(proc, set)`` slot of L1
+    and L2, the position of the last access per ``(proc, line)`` and per
+    line, and of the last write per line and per word.  ``ways`` holds
+    LRU stacks of set-associative caches; ``seen`` offsets positions."""
+
+    def __init__(self) -> None:
+        self.seen = 0
+        self.last: Dict[str, np.ndarray] = {}
+        self.ways: Tuple[dict, dict] = ({}, {})
+
+    def table(self, name: str, *shape: int) -> np.ndarray:
+        """The carried array ``name``, grown with -1 to at least
+        ``shape`` (a later chunk may bring new procs, lines or words)."""
+        a = self.last.get(name, np.empty((0,) * len(shape), dtype=np.int64))
+        pad = [(0, max(0, want - have)) for want, have in zip(shape, a.shape)]
+        if any(p for _, p in pad):
+            a = self.last[name] = np.pad(a, pad, constant_values=-1)
+        return a
+
+
+def _tag_hits(proc, addr, cfg: CacheConfig, st: CoherenceState, level: int):
+    # Direct-mapped is the DASH default and fully vectorized; the LRU
+    # set-associative variant (model-sensitivity studies) is exact but
+    # event-at-a-time.
+    if cfg.assoc > 1:
+        return assoc_lru_hits(proc, addr, cfg, st.ways[level])
+    last = st.table(f"set{level}", (int(proc.max()) + 1) * cfg.nsets)
+    return direct_mapped_hits(proc, addr, cfg, last)
+
+
 def classify_accesses(
-    proc: np.ndarray,
-    addr: np.ndarray,
-    write: np.ndarray,
-    cfg: CacheConfig,
-    word_bytes: int = 8,
-    l2: "CacheConfig | None" = None,
+    proc: np.ndarray, addr: np.ndarray, write: np.ndarray, cfg: CacheConfig,
+    word_bytes: int = 8, l2: "CacheConfig | None" = None,
+    state: "CoherenceState | None" = None,
 ) -> AccessClassification:
     """Classify every access of a merged, globally-ordered stream.
 
     When ``l2`` is given, a private second-level cache (inclusive,
     updated on every reference) filters first-level misses: an L1 miss
     whose line survives in L2 — and was not invalidated by another
-    processor's write — is an ``l2_hit``.
+    processor's write — is an ``l2_hit``.  Classifying a stream's
+    chunks in order with one ``state`` gives exactly the flags of their
+    concatenation (None = one whole stream from cold caches).
+
+    Four groupings, each sorted once and scanned by :func:`carry_prev`:
+    ``(proc, set)`` for the tag match, ``line`` for the last access and
+    last write to the line, then ``(proc, line)`` for this processor's
+    previous touch and ``word`` for the last write to the word, both
+    refining the line order by one more stable pass.
     """
     n = len(addr)
     if n == 0:
         z = np.zeros(0, dtype=bool)
         return AccessClassification(z, z, z, z, z)
-    line = addr // cfg.line_bytes
-    word = addr // word_bytes
-    nline = int(line.max()) + 1
-    nword = int(word.max()) + 1
-    pos = np.arange(n, dtype=np.int64)
+    st = CoherenceState() if state is None else state
+    top = int(addr.max())
+    nproc = int(proc.max()) + 1
+    nline, nword = top // cfg.line_bytes + 1, top // word_bytes + 1
+    tag_hit = _tag_hits(proc, addr, cfg, st, 0)
 
-    # Direct-mapped is the DASH default and fully vectorized; the LRU
-    # set-associative variant (model-sensitivity studies) is exact but
-    # event-at-a-time.
-    if cfg.assoc == 1:
-        tag_hit = direct_mapped_hits(proc, addr, cfg)
+    order = group_order(addr // cfg.line_bytes, nline)
+    pos = order + st.seen
+    st.seen += n
+    addr_o, write_o, proc_o = (a[order] for a in (addr, write, proc))
+    line_o = addr_o // cfg.line_bytes
+    # (proc, line): one more stable pass, on proc.
+    sub = group_order(proc_o, nproc)
+    touch = st.table("touch", nproc, nline)
+    prev_touch = np.empty(n, dtype=np.int64)
+    prev_touch[sub] = carry_prev((proc_o * touch.shape[1] + line_o)[sub],
+                                 pos[sub], touch.reshape(-1))
+    # Compared in line order, scattered back to stream order.  A
+    # processor's own last write to the line (or word) is never after
+    # its own last touch of the line, so a write after that touch came
+    # from another processor: exactly ExactCoherentSim's invalidation.
+    # ``touched`` (by anyone since our touch) drives the write upgrade.
+    cold, touched, remote, remote_word = (
+        np.empty(n, dtype=bool) for _ in range(4))
+    cold[order] = prev_touch < 0
+    touched[order] = (carry_prev(line_o, pos, st.table("access", nline))
+                      > prev_touch)
+    remote[order] = carry_prev(line_o, pos, st.table("write", nline),
+                               mark=write_o) > prev_touch
+    word_o = addr_o // word_bytes
+    del addr_o, line_o, proc_o
+    if cfg.line_bytes % word_bytes == 0:
+        # Words nest in lines: a stable pass on the word within the line.
+        wpl = cfg.line_bytes // word_bytes
+        sub = group_order(word_o % wpl, wpl)
     else:
-        tag_hit = assoc_lru_hits(proc, addr, cfg)
-    prev_line_pos = segmented_prev_position(proc * nline + line, pos)
-    lw_any_line = _last_write_before(line, write)
-    lw_same_line = _last_write_before(proc * nline + line, write)
-    lw_any_word = _last_write_before(word, write)
-    lw_same_word = _last_write_before(proc * nword + word, write)
-
-    # Invalidated: the line would have survived in the cache (tag match),
-    # but another processor wrote it after this processor's last touch.
-    # "Another processor" = the most recent write is not our own.
-    invalidated = (
-        tag_hit
-        & (lw_any_line > lw_same_line)
-        & (lw_any_line > prev_line_pos)
-    )
-    cold = prev_line_pos < 0
+        # A word may straddle two lines: group it from stream order.
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        sub = rank[group_order(addr // word_bytes, nword)]
+    remote_word[order[sub]] = carry_prev(
+        word_o[sub], pos[sub], st.table("word", nword), mark=write_o[sub],
+    ) > prev_touch[sub]
+    invalidated = tag_hit & remote
     hit = tag_hit & ~invalidated
     miss = ~hit
-    true_sharing = (
-        invalidated
-        & (lw_any_word > lw_same_word)
-        & (lw_any_word > prev_line_pos)
-    )
-    false_sharing = invalidated & ~true_sharing
-    replacement = miss & ~cold & ~invalidated
-    # Writer-side ownership acquisition: a write hit on a line someone
-    # else has touched since our previous access must invalidate their
-    # copy before proceeding.
-    la_any_line = _last_write_before(line, np.ones(n, dtype=bool))
-    upgrade = write & hit & (la_any_line > prev_line_pos)
-
-    l2_hit = np.zeros(n, dtype=bool)
+    true_sharing = invalidated & remote_word
+    l2_hit = None
     if l2 is not None:
-        if l2.assoc == 1:
-            l2_tag = direct_mapped_hits(proc, addr, l2)
-        else:
-            l2_tag = assoc_lru_hits(proc, addr, l2)
-        # Same invalidation predicate, at the L2 tag state: a remote
-        # write invalidates both levels.
-        inv2 = (
-            l2_tag
-            & (lw_any_line > lw_same_line)
-            & (lw_any_line > prev_line_pos)
-        )
-        l2_hit = miss & l2_tag & ~inv2
+        # A remote write invalidates both levels.
+        l2_hit = miss & _tag_hits(proc, addr, l2, st, 1) & ~remote
     out = AccessClassification(
         hit=hit,
         cold=cold & miss,
-        replacement=replacement,
+        replacement=miss & ~cold & ~invalidated,
         true_sharing=true_sharing,
-        false_sharing=false_sharing,
-        upgrade=upgrade,
+        false_sharing=invalidated & ~true_sharing,
+        upgrade=write & hit & touched,
         l2_hit=l2_hit,
     )
     if obs.enabled():
@@ -216,19 +226,13 @@ class ExactCoherentSim:
         # cache[p][set] = line currently cached (or None); valid flag.
         cache: Dict[Tuple[int, int], int] = {}
         valid: Dict[Tuple[int, int], bool] = {}
-        touched: set = set()  # (proc, line) ever cached
         # last write position per word / per line by each proc.
         word_writes: Dict[int, list] = {}  # word -> list of (pos, proc)
-        line_writes: Dict[int, list] = {}
         last_touch: Dict[Tuple[int, int], int] = {}
 
-        hit = np.zeros(n, dtype=bool)
-        cold = np.zeros(n, dtype=bool)
-        repl = np.zeros(n, dtype=bool)
-        tshare = np.zeros(n, dtype=bool)
-        fshare = np.zeros(n, dtype=bool)
-        upgrade = np.zeros(n, dtype=bool)
-        l2_hit = np.zeros(n, dtype=bool)
+        flags = {f: np.zeros(n, dtype=bool) for f in (
+            "hit", "cold", "replacement", "true_sharing", "false_sharing",
+            "upgrade", "l2_hit")}
         last_touch_any: Dict[int, int] = {}
         # Second-level tag state, mirroring the L1 structures.
         l2cache: Dict[Tuple[int, int], int] = {}
@@ -244,14 +248,14 @@ class ExactCoherentSim:
             cached = cache.get(key)
             is_valid = valid.get(key, False)
             if cached == ln and is_valid:
-                hit[i] = True
+                flags["hit"][i] = True
                 if write[i] and last_touch_any.get(ln, -1) > last_touch.get(
                     (p, ln), -1
                 ):
-                    upgrade[i] = True
+                    flags["upgrade"][i] = True
             else:
-                if (p, ln) not in touched:
-                    cold[i] = True
+                if (p, ln) not in last_touch:
+                    flags["cold"][i] = True
                 elif cached == ln and not is_valid:
                     # Present but invalidated: sharing miss.  True iff an
                     # invalidating write since our last touch was to this
@@ -261,28 +265,24 @@ class ExactCoherentSim:
                         q != p and pos > since
                         for pos, q in word_writes.get(wd, ())
                     )
-                    if word_hits:
-                        tshare[i] = True
-                    else:
-                        fshare[i] = True
+                    sharing = "true" if word_hits else "false"
+                    flags[f"{sharing}_sharing"][i] = True
                 else:
-                    repl[i] = True
+                    flags["replacement"][i] = True
                 if self.l2 is not None:
                     k2 = (p, ln % self.l2.nsets)
                     if l2cache.get(k2) == ln and l2valid.get(k2, False):
-                        l2_hit[i] = True
+                        flags["l2_hit"][i] = True
                 cache[key] = ln
                 valid[key] = True
             if self.l2 is not None:
                 k2 = (p, ln % self.l2.nsets)
                 l2cache[k2] = ln
                 l2valid[k2] = True
-            touched.add((p, ln))
             last_touch[(p, ln)] = i
             last_touch_any[ln] = i
             if write[i]:
                 word_writes.setdefault(wd, []).append((i, p))
-                line_writes.setdefault(ln, []).append((i, p))
                 # Invalidate every other processor's copy.
                 for q in range(self.nprocs):
                     if q == p:
@@ -295,12 +295,4 @@ class ExactCoherentSim:
                         if (l2cache.get(kq2) == ln
                                 and l2valid.get(kq2, False)):
                             l2valid[kq2] = False
-        return AccessClassification(
-            hit=hit,
-            cold=cold,
-            replacement=repl,
-            true_sharing=tshare,
-            false_sharing=fshare,
-            upgrade=upgrade,
-            l2_hit=l2_hit,
-        )
+        return AccessClassification(**flags)

@@ -37,11 +37,10 @@ def first_touch_homes(
         e = np.zeros(0, dtype=np.int64)
         return e, e
     page = addr // cfg.page_bytes
-    uniq, first_idx, inverse = np.unique(
-        page, return_index=True, return_inverse=True
-    )
-    home = cfg.cluster_of(proc[first_idx])
-    return page, home[inverse]
+    # Dense first-touch position per page (exact, no sort).
+    first = np.full(int(page.max()) + 1, len(addr), dtype=np.int64)
+    np.minimum.at(first, page, np.arange(len(addr)))
+    return page, cfg.cluster_of(proc[first[page]])
 
 
 def local_miss_mask(

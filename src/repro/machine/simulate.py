@@ -14,13 +14,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import obs
+from repro import faults, obs
 from repro.codegen.spmd import Scheme, SpmdProgram, generate_spmd
-from repro.machine.coherence import classify_accesses
+from repro.machine.coherence import CoherenceState, classify_accesses
 from repro.machine.cost import CostParams, PhaseCost, per_proc_cycles, phase_time
 from repro.machine.dash import DashConfig
 from repro.machine.numa import local_miss_mask
-from repro.machine.trace import PhaseTrace, program_traces
+from repro.machine.trace import program_traces
 
 
 @dataclass
@@ -123,14 +123,11 @@ def _simulate_impl(
             space, traces, machine.cache
         ).as_dict()
 
-    # Two rounds of the phase sequence: cold then steady state.
+    # Two rounds of the phase sequence: cold then steady state.  Both
+    # replay the same one-round stream; the steady round is classified
+    # from the cache/coherence state the cold round left behind.
     rounds = 2 if prog.time_steps > 1 else 1
-    seq: List[Tuple[int, PhaseTrace, int]] = []  # (round, trace, phase idx)
-    for r in range(rounds):
-        for k, t in enumerate(traces):
-            seq.append((r, t, k))
-
-    if not seq or all(t.n_accesses == 0 for _, t, _ in seq):
+    if all(t.n_accesses == 0 for t in traces):
         return SimResult(
             scheme=spmd.scheme.value,
             nprocs=spmd.nprocs,
@@ -141,76 +138,77 @@ def _simulate_impl(
             locality=locality_dict,
         )
 
-    proc = np.concatenate([t.proc for _, t, _ in seq])
-    addr = np.concatenate([t.addr for _, t, _ in seq])
-    write = np.concatenate([t.write for _, t, _ in seq])
-    slice_id = np.concatenate(
-        [
-            np.full(t.n_accesses, i, dtype=np.int64)
-            for i, (_, t, _) in enumerate(seq)
-        ]
-    )
+    proc = np.concatenate([t.proc for t in traces])
+    addr = np.concatenate([t.addr for t in traces])
+    write = np.concatenate([t.write for t in traces])
+    # Phases are contiguous ranges of the round's stream.
+    bounds = np.cumsum([0] + [t.n_accesses for t in traces]).tolist()
 
     # The classification sweep is its own wall-time ledger anchor: it
     # dominates simulate() for large streams and must be attributable
     # separately from the per-phase cost loop below.
-    with obs.span("sim.classify", cat="machine", accesses=int(len(addr))):
-        cls = classify_accesses(
-            proc, addr, write, machine.cache, word_bytes=machine.word_bytes,
-            l2=machine.l2,
-        )
+    with obs.span("sim.classify", cat="machine",
+                  accesses=int(len(addr)) * rounds):
+        faults.maybe_sim_stall()
+        state = CoherenceState()
+        classes = [
+            classify_accesses(
+                proc, addr, write, machine.cache,
+                word_bytes=machine.word_bytes, l2=machine.l2, state=state,
+            )
+            for _ in range(rounds)
+        ]
+        # First touch happens in the cold round, so the steady round
+        # homes every page identically.
         local = local_miss_mask(addr, proc, machine.numa)
-    miss = cls.miss & ~cls.l2_hit  # L2-served misses never reach memory
-    miss_local = miss & local
-    miss_remote = miss & ~local
 
     params = machine.cost
     nprocs = spmd.nprocs
     phase_costs: List[PhaseCost] = []
     round_time = [0.0, 0.0]
+    masks = []  # per round: miss class -> flags
+    for cls in classes:
+        miss = cls.miss & ~cls.l2_hit  # L2-served misses never reach memory
+        masks.append(_class_masks(cls, miss & local, miss & ~local))
     breakdown = {
-        "cold": int(cls.cold.sum()),
-        "replacement": int(cls.replacement.sum()),
-        "true_sharing": int(cls.true_sharing.sum()),
-        "false_sharing": int(cls.false_sharing.sum()),
-        "upgrade": int(cls.upgrade.sum()),
-        "l2_hits": int(cls.l2_hit.sum()),
-        "remote": int(miss_remote.sum()),
-        "local_miss": int(miss_local.sum()),
+        name: sum(int(m[name].sum()) for m in masks)
+        for name in _MISS_CLASSES if name != "hits"
     }
-    masks = _class_masks(cls, miss_local, miss_remote)
 
-    for i, (r, t, k) in enumerate(seq):
+    for r, (cls, m) in enumerate(zip(classes, masks)):
         steady = r == rounds - 1
-        with obs.span("sim.phase", cat="machine", nest=t.nest_name,
-                      round="steady" if steady else "cold") as psp:
-            sl = slice_id == i
-            cycles = per_proc_cycles(
-                proc[sl], cls.hit[sl], miss_local[sl], miss_remote[sl],
-                nprocs, params, upgrade=cls.upgrade[sl], l2_hit=cls.l2_hit[sl],
-            )
-            pc = phase_time(
-                nest_name=t.nest_name,
-                cycles=cycles,
-                sync_kind=t.sync_after,
-                barriers=t.barriers,
-                pipelined=t.pipelined,
-                seq_steps=spmd.phases[k].seq_steps,
-                nprocs=nprocs,
-                params=params,
-            )
-            freq = max(1, spmd.phases[k].nest.frequency)
-            round_time[r] += pc.time * freq
-            if steady:
-                # Steady-round miss classes become the phase profile.
-                pc.misses = {
-                    name: int(m[sl].sum()) for name, m in masks.items()
-                }
-                pc.misses["accesses"] = int(sl.sum())
-                phase_costs.append(pc)
-                psp.set(time=pc.time, compute=pc.compute_max, sync=pc.sync)
-                for name, v in pc.misses.items():
-                    psp.add(name, v)
+        for k, t in enumerate(traces):
+            with obs.span("sim.phase", cat="machine", nest=t.nest_name,
+                          round="steady" if steady else "cold") as psp:
+                sl = slice(bounds[k], bounds[k + 1])
+                cycles = per_proc_cycles(
+                    proc[sl], cls.hit[sl], m["local_miss"][sl],
+                    m["remote"][sl], nprocs, params,
+                    upgrade=cls.upgrade[sl], l2_hit=cls.l2_hit[sl],
+                )
+                pc = phase_time(
+                    nest_name=t.nest_name,
+                    cycles=cycles,
+                    sync_kind=t.sync_after,
+                    barriers=t.barriers,
+                    pipelined=t.pipelined,
+                    seq_steps=spmd.phases[k].seq_steps,
+                    nprocs=nprocs,
+                    params=params,
+                )
+                freq = max(1, spmd.phases[k].nest.frequency)
+                round_time[r] += pc.time * freq
+                if steady:
+                    # Steady-round miss classes become the phase profile.
+                    pc.misses = {
+                        name: int(f[sl].sum()) for name, f in m.items()
+                    }
+                    pc.misses["accesses"] = t.n_accesses
+                    phase_costs.append(pc)
+                    psp.set(time=pc.time, compute=pc.compute_max,
+                            sync=pc.sync)
+                    for name, v in pc.misses.items():
+                        psp.add(name, v)
 
     steps = max(1, prog.time_steps)
     if rounds == 2:
@@ -239,15 +237,17 @@ def _simulate_impl(
             cnt = int(am.sum())
             if not cnt:
                 continue
-            ab = {name: int((m & am).sum()) for name, m in masks.items()}
-            ab["accesses"] = cnt
+            ab = {name: sum(int((rm[name] & am).sum()) for rm in masks)
+                  for name in _MISS_CLASSES}
+            ab["accesses"] = cnt * rounds
             array_breakdown[nm] = ab
         # Conflict pressure: which cache sets the replacement misses
         # land on (a skewed occupancy is the power-of-two aliasing
         # signature the paper's data transform removes).
         nsets = machine.cache.nsets
-        rsets = (addr[cls.replacement] // machine.cache.line_bytes) % nsets
-        occ = np.bincount(rsets, minlength=nsets)
+        sets = (addr // machine.cache.line_bytes) % nsets
+        occ = sum(np.bincount(sets[cls.replacement], minlength=nsets)
+                  for cls in classes)
         # Rank by (-count, set index): plain argsort[::-1] orders
         # equal-count sets by *descending* index, which made stored
         # results and snapshots byte-unstable across numpy sort quirks.
@@ -269,7 +269,7 @@ def _simulate_impl(
         time_steps=steps,
         phase_costs=phase_costs,
         miss_breakdown=breakdown,
-        n_accesses=int(len(addr)) // rounds,
+        n_accesses=int(len(addr)),
         array_breakdown=array_breakdown,
         numa=numa,
         conflict_sets=conflict,

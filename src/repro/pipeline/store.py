@@ -12,8 +12,8 @@ outcome —
 * the **scheme** and **processor count**;
 * the **machine fingerprint** (:meth:`repro.machine.dash.DashConfig.fingerprint`
   — full cache/L2/NUMA/cost geometry);
-* the **model version** (:data:`MODEL_VERSION`, bumped whenever the
-  simulator's semantics change);
+* the **model version** (:data:`MODEL_VERSION`, a digest of the
+  simulator's sources, so any edit to ``repro/machine`` re-keys);
 * a ``kind`` namespace (``sim`` results, ``verify`` verdicts, ``bench``
   detail blocks) plus any extra flags that shape the payload.
 
@@ -75,6 +75,7 @@ __all__ = [
     "ResultStore",
     "StoreStats",
     "canonical_payload",
+    "model_version",
     "payload_checksum",
     "resolve_store_dir",
     "result_key",
@@ -82,11 +83,21 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-# Version of the simulated-machine model the stored results were
-# produced by.  Bump on any semantic change to the simulator (miss
-# classification, cost model, trace generation): every stored result is
-# then unreachable and the next run repopulates the store.
-MODEL_VERSION = "sim-v1"
+
+def model_version(machine_dir: Optional[Path] = None) -> str:
+    """Version of the simulated-machine model: a SHA-256 over the
+    sorted ``repro/machine/*.py`` sources (names and bytes).  Any edit
+    to the simulator (miss classification, cost model, trace
+    generation) makes every stored result unreachable, so a warm store
+    never serves results of an older simulator."""
+    root = machine_dir or Path(__file__).resolve().parent.parent / "machine"
+    h = hashlib.sha256()
+    for path in sorted(root.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return "sim-" + h.hexdigest()[:16]
+
+
+MODEL_VERSION = model_version()
 
 # Entry-count cap (oldest evicted first), in the spirit of
 # repro.util.atomicio.QUARANTINE_KEEP: bound the on-disk footprint,

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from repro.machine.cache import (
     CacheConfig,
     assoc_lru_hits,
+    carry_prev,
     direct_mapped_hits,
-    segmented_prev_equal,
-    segmented_prev_position,
+    group_order,
 )
 
 
@@ -35,24 +35,70 @@ class TestConfig:
         assert c.set_of(np.array([0, 1, 4, 5])).tolist() == [0, 1, 0, 1]
 
 
-class TestSegmentedHelpers:
+def prev_in_group(group, value, carried, mark=None):
+    """carry_prev over ``group_order``, back in stream order."""
+    order = group_order(group, len(carried))
+    out = np.empty(len(group), dtype=np.int64)
+    out[order] = carry_prev(group[order], value[order], carried,
+                            None if mark is None else mark[order])
+    return out
+
+
+class TestGroupCarry:
     def test_prev_equal(self):
         group = np.array([0, 0, 1, 0, 1])
         value = np.array([5, 5, 7, 6, 7])
-        out = segmented_prev_equal(group, value)
-        assert out.tolist() == [False, True, False, False, True]
+        prev = prev_in_group(group, value, np.full(2, -1))
+        assert (prev == value).tolist() == [False, True, False, False, True]
 
     def test_prev_position(self):
         group = np.array([0, 1, 0, 1, 0])
-        pos = np.arange(5)
-        out = segmented_prev_position(group, pos)
+        carried = np.full(2, -1)
+        out = prev_in_group(group, np.arange(5), carried)
         assert out.tolist() == [-1, -1, 0, 1, 2]
+        # The group tails are carried into the next chunk.
+        assert carried.tolist() == [4, 3]
+
+    def test_prev_marked(self):
+        """With ``mark``, each element sees the last marked element
+        before it in its group (here: the last write)."""
+        group = np.array([0, 0, 1, 0, 1, 0])
+        mark = np.array([True, False, False, False, True, False])
+        carried = np.array([-1, 9])
+        out = prev_in_group(group, np.arange(10, 16), carried, mark)
+        assert out.tolist() == [-1, 10, 9, 10, 9, 10]
+        assert carried.tolist() == [10, 14]
 
     def test_empty(self):
-        assert len(segmented_prev_equal(np.array([]), np.array([]))) == 0
-        assert len(
-            segmented_prev_position(np.array([]), np.array([]))
-        ) == 0
+        e = np.zeros(0, dtype=np.int64)
+        assert len(group_order(e, 0)) == 0
+        assert len(carry_prev(e, e, np.full(1, -1))) == 0
+
+    def test_wide_keys_take_several_digits(self):
+        group = np.array([70000, 3, 70000 + 65536, 3, 70000])
+        order = group_order(group, 1 << 20)
+        assert group[order].tolist() == [3, 3, 70000, 70000, 70000 + 65536]
+        assert order.tolist() == [1, 3, 0, 4, 2]
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.booleans()),
+                    max_size=80),
+           st.lists(st.integers(0, 80), max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_chunks_match_whole(self, accesses, cuts):
+        """Carrying state over any split equals one whole pass."""
+        group = np.array([g for g, _ in accesses], dtype=np.int64)
+        mark = np.array([m for _, m in accesses], dtype=bool)
+        pos = np.arange(len(group))
+        for m in (None, mark):
+            whole = prev_in_group(group, pos, np.full(6, -1), m)
+            carried = np.full(6, -1)
+            edges = [0] + sorted(min(c, len(group)) for c in cuts)
+            parts = [
+                prev_in_group(group[a:b], pos[a:b], carried,
+                              None if m is None else m[a:b])
+                for a, b in zip(edges, edges[1:] + [len(group)])
+            ]
+            assert np.array_equal(np.concatenate(parts), whole)
 
 
 def naive_direct_mapped(proc, addr, cfg):

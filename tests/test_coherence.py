@@ -12,6 +12,7 @@ from repro.machine.cache import (
 )
 from repro.machine.coherence import (
     AccessClassification,
+    CoherenceState,
     ExactCoherentSim,
     classify_accesses,
 )
@@ -181,6 +182,118 @@ class TestEquivalence:
                               l2=CacheConfig(256, 16))
         assert not (c.l2_hit & c.hit).any()
         assert not (c.l2_hit & c.upgrade).any()
+
+
+def classify_chunks(proc, addr, write, cuts, cfg, **kw):
+    """Classify the stream split at ``cuts``, carrying one state."""
+    state = CoherenceState()
+    edges = [0] + sorted(cuts) + [len(addr)]
+    parts = [
+        classify_accesses(proc[a:b], addr[a:b], write[a:b], cfg,
+                          state=state, **kw)
+        for a, b in zip(edges, edges[1:])
+    ]
+    return AccessClassification(**{
+        f: np.concatenate([getattr(c, f) for c in parts])
+        for f in FIELDS + ["l2_hit"]
+    })
+
+
+@st.composite
+def chunked_trace(draw):
+    """A trace, 0-4 cut points (so 1-5 chunks, empty and length-1 ones
+    included) and an optional reordering by address or processor, which
+    makes every later chunk bring lines, words or processors the state
+    has never seen."""
+    nprocs, proc, addr, write = draw(trace())
+    ramp = draw(st.sampled_from([None, "addr", "proc"]))
+    if ramp is not None:
+        idx = np.argsort(addr if ramp == "addr" else proc, kind="stable")
+        proc, addr, write = proc[idx], addr[idx], write[idx]
+    n = len(addr)
+    cuts = draw(st.lists(st.integers(0, n), max_size=4))
+    if draw(st.booleans()) and n > 1:
+        cuts += [n - 1, n - 1, 1]  # an empty and two length-1 chunks
+    return nprocs, proc, addr, write, cuts
+
+
+def assert_same(a, b, fields=FIELDS + ["l2_hit"]):
+    for f in fields:
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+
+
+class TestCarriedState:
+    """Classifying chunks in order with one carried state is the
+    monolithic classification and the event simulation of their
+    concatenation (the simulator's steady round is such a chunk)."""
+
+    @given(chunked_trace())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_chunks_match_whole_and_exact(self, t):
+        nprocs, proc, addr, write, cuts = t
+        cfg = tiny_cfg()
+        whole = classify_accesses(proc, addr, write, cfg, word_bytes=8)
+        assert_same(classify_chunks(proc, addr, write, cuts, cfg), whole)
+        exact = ExactCoherentSim(nprocs, cfg, word_bytes=8).run(
+            proc, addr, write)
+        assert_same(whole, exact)
+
+    @given(chunked_trace())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_chunks_match_whole_and_exact_with_l2(self, t):
+        nprocs, proc, addr, write, cuts = t
+        cfg, l2 = tiny_cfg(), CacheConfig(size_bytes=256, line_bytes=16)
+        whole = classify_accesses(proc, addr, write, cfg, l2=l2)
+        assert_same(classify_chunks(proc, addr, write, cuts, cfg, l2=l2),
+                    whole)
+        exact = ExactCoherentSim(nprocs, cfg, l2=l2).run(proc, addr, write)
+        assert_same(whole, exact)
+
+    @given(chunked_trace())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_chunks_match_whole_two_way(self, t):
+        """The LRU stacks carry too.  (The event simulation models
+        direct-mapped caches only, so two-way is checked against the
+        monolithic classification.)"""
+        nprocs, proc, addr, write, cuts = t
+        cfg = CacheConfig(size_bytes=64, line_bytes=16, assoc=2)
+        l2 = CacheConfig(size_bytes=128, line_bytes=16, assoc=2)
+        whole = classify_accesses(proc, addr, write, cfg, l2=l2)
+        assert_same(classify_chunks(proc, addr, write, cuts, cfg, l2=l2),
+                    whole)
+
+    def test_words_straddling_lines(self):
+        """12-byte words do not nest in 16-byte lines."""
+        rng = np.random.default_rng(5)
+        proc = rng.integers(0, 3, 400)
+        addr = rng.integers(0, 64, 400) * 4
+        write = rng.random(400) < 0.4
+        cfg = tiny_cfg()
+        whole = classify_accesses(proc, addr, write, cfg, word_bytes=12)
+        exact = ExactCoherentSim(3, cfg, word_bytes=12).run(
+            proc, addr, write)
+        assert_same(whole, exact)
+        assert_same(classify_chunks(proc, addr, write, [150, 151, 300],
+                                    cfg, word_bytes=12), whole)
+
+    def test_wide_keys(self):
+        """More than 65536 lines and (proc, set) slots: the radix sort
+        takes several 16-bit digits, and keys equal in their low digit
+        (lines 65536 apart, processors 2 apart) must not merge."""
+        cfg = CacheConfig(size_bytes=512 * 1024, line_bytes=16)
+        assert 4 * cfg.nsets > 65536
+        rng = np.random.default_rng(11)
+        lines = np.array([0, 1, 65536, 65537, 131072, 70001, 5])
+        proc = rng.integers(0, 4, 3000)
+        addr = lines[rng.integers(0, len(lines), 3000)] * 16
+        addr += rng.integers(0, 2, 3000) * 8
+        write = rng.random(3000) < 0.3
+        whole = classify_accesses(proc, addr, write, cfg)
+        exact = ExactCoherentSim(4, cfg).run(proc, addr, write)
+        assert_same(whole, exact)
+        assert_same(classify_chunks(proc, addr, write, [1000, 2000], cfg),
+                    whole)
+        assert whole.replacement.any() and whole.true_sharing.any()
 
 
 class TestAssocLru:

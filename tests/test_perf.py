@@ -272,6 +272,19 @@ class TestPassStallFault:
         assert pd.significant
         assert pd.moved[0].row == "pass/layout"
 
+    def test_sim_stall_books_against_classify_row(self):
+        # The simulator-side site: the sleep lands in sim/classify.
+        assert "sim.stall" in faults.SITES
+        base = record_point("simple", parse_scheme("data"), 2, n=8)
+        faults.configure("seed=1,sim.stall=1.0,stall_s=0.05")
+        try:
+            stalled = record_point("simple", parse_scheme("data"), 2, n=8)
+        finally:
+            faults.configure(None)
+        pd = _perf_diff(base, stalled, wall_abs_floor=0.02)
+        assert pd.significant
+        assert pd.moved[0].row == "sim/classify"
+
 
 class TestPerfCLI:
     def test_record_json_stdout(self, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import simple
+from repro.apps import simple, stencil5
 from repro.codegen.spmd import Scheme
 from repro.compiler import compile_program
 from repro.machine import scaled_dash
@@ -51,6 +51,40 @@ class TestSimulate:
         p1 = simple.build(n=16, time_steps=1)
         res = simulate(compile_program(p1, Scheme.BASE, 2), machine(2))
         assert res.round_times[0] == pytest.approx(res.round_times[1])
+
+    def test_steady_round_is_the_doubled_stream(self):
+        """The steady round, classified from the state the cold round
+        left, counts exactly what classifying the doubled stream at
+        once (and first-touch homing over it) counts."""
+        from repro.machine.coherence import classify_accesses
+        from repro.machine.numa import local_miss_mask
+        from repro.machine.trace import program_traces
+
+        m = machine(8).with_l2()
+        # The stencil's partition boundaries share lines: both sharing
+        # classes occur.
+        spmd = compile_program(stencil5.build(n=32, time_steps=3),
+                               Scheme.COMP_DECOMP, 8)
+        _, traces = program_traces(spmd, m.numa.page_bytes)
+        proc, addr, write = (np.tile(np.concatenate(
+            [getattr(t, f) for t in traces]), 2)
+            for f in ("proc", "addr", "write"))
+        cls = classify_accesses(proc, addr, write, m.cache,
+                                word_bytes=m.word_bytes, l2=m.l2)
+        local = local_miss_mask(addr, proc, m.numa)
+        miss = cls.miss & ~cls.l2_hit
+        want = {
+            "cold": cls.cold, "replacement": cls.replacement,
+            "true_sharing": cls.true_sharing,
+            "false_sharing": cls.false_sharing, "upgrade": cls.upgrade,
+            "l2_hits": cls.l2_hit, "remote": miss & ~local,
+            "local_miss": miss & local,
+        }
+        res = simulate(spmd, m)
+        assert res.miss_breakdown == {k: int(v.sum())
+                                      for k, v in want.items()}
+        assert res.miss_breakdown["false_sharing"] > 0
+        assert res.n_accesses * 2 == len(addr)
 
     def test_no_remote_misses_on_one_cluster(self, prog):
         """With <= cluster_size processors everything is one cluster, so

@@ -3,6 +3,8 @@ durability, and the machine fingerprint it keys on."""
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.machine.dash import dash_machine, scaled_dash
 from repro.pipeline.store import (
     MODEL_VERSION,
     ResultStore,
+    model_version,
     payload_checksum,
     resolve_store_dir,
     result_key,
@@ -87,6 +90,23 @@ class TestResultKey:
     def test_model_version_default(self):
         assert result_key("p", "comp", 4, "m") == result_key(
             "p", "comp", 4, "m", model_version=MODEL_VERSION)
+
+    def test_model_version_tracks_machine_sources(self, tmp_path):
+        """An edit to any simulator source re-keys every result; an
+        unchanged copy keeps the key."""
+        import repro.machine
+
+        machine = tmp_path / "machine"
+        shutil.copytree(Path(repro.machine.__file__).parent, machine,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert model_version(machine) == MODEL_VERSION
+        assert model_version(machine) == model_version(machine)
+        src = machine / "coherence.py"
+        src.write_text(src.read_text() + "# edited\n")
+        edited = model_version(machine)
+        assert edited != MODEL_VERSION
+        assert result_key("p", "comp", 4, "m", model_version=edited) \
+            != result_key("p", "comp", 4, "m")
 
 
 # -- directory resolution ----------------------------------------------------
