@@ -58,37 +58,33 @@ class PhaseCost:
 
 
 def per_proc_cycles(
-    proc: np.ndarray,
-    hit: np.ndarray,
+    accesses: np.ndarray,
+    hits: np.ndarray,
     miss_local: np.ndarray,
     miss_remote: np.ndarray,
-    nprocs: int,
     params: CostParams,
     upgrade: np.ndarray = None,
     l2_hit: np.ndarray = None,
 ) -> np.ndarray:
-    """Cycles accumulated by each processor for a slice of accesses.
+    """Cycles accumulated by each processor, from its access counts.
 
-    ``l2_hit`` accesses are first-level misses served by the private
-    second-level cache; they must be excluded from ``miss_local`` /
-    ``miss_remote`` by the caller.
+    Every argument is an integer count vector indexed by processor (the
+    ``np.bincount`` of the accessing processor over one class of
+    accesses).  ``l2_hit`` counts first-level misses served by the
+    private second-level cache; they must be excluded from
+    ``miss_local`` / ``miss_remote`` by the caller.
     """
-    base = np.bincount(proc, minlength=nprocs).astype(np.float64)
-    hits = np.bincount(proc[hit], minlength=nprocs).astype(np.float64)
-    loc = np.bincount(proc[miss_local], minlength=nprocs).astype(np.float64)
-    rem = np.bincount(proc[miss_remote], minlength=nprocs).astype(np.float64)
+    f = np.float64
     out = (
-        base * params.cpu_per_access
-        + hits * params.l1_hit
-        + loc * params.local_miss
-        + rem * params.remote_miss
+        accesses.astype(f) * params.cpu_per_access
+        + hits.astype(f) * params.l1_hit
+        + miss_local.astype(f) * params.local_miss
+        + miss_remote.astype(f) * params.remote_miss
     )
     if l2_hit is not None:
-        l2 = np.bincount(proc[l2_hit], minlength=nprocs).astype(np.float64)
-        out += l2 * params.l2_hit
-    if upgrade is not None and nprocs > 1:
-        upg = np.bincount(proc[upgrade], minlength=nprocs).astype(np.float64)
-        out += upg * params.upgrade
+        out += l2_hit.astype(f) * params.l2_hit
+    if upgrade is not None and len(accesses) > 1:
+        out += upgrade.astype(f) * params.upgrade
     return out
 
 

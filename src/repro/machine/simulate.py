@@ -4,7 +4,10 @@ Replays an SPMD program's address traces through the private-cache +
 coherence + NUMA models and assembles per-phase and total times.  The
 phase sequence of one time step is simulated twice back-to-back: the
 first round pays the cold misses, the second measures the steady state;
-a program with T time steps costs ``round0 + (T-1) * round1``.
+a program with T time steps costs ``round0 + (T-1) * round1``.  Each
+round streams through the classifier phase by phase in chunks of at
+most :data:`CHUNK` accesses, reduced at once to per-processor counts,
+so memory beyond the resident trace is O(``CHUNK``).
 """
 
 from __future__ import annotations
@@ -62,24 +65,58 @@ class SimResult:
         )
 
 
+# Accesses per classify_accesses call.  A round is walked phase by
+# phase and each phase in contiguous chunks of at most this many
+# accesses, so the classifier's temporaries (about 100 B per access)
+# stay O(CHUNK) whatever the stream length; the count is large enough
+# that NumPy's per-call overhead is amortised.
+CHUNK = 1 << 18
+
 _MISS_CLASSES = (
     "hits", "cold", "replacement", "true_sharing", "false_sharing",
     "upgrade", "l2_hits", "remote", "local_miss",
 )
 
 
-def _class_masks(cls, miss_local, miss_remote) -> Dict[str, np.ndarray]:
-    return {
-        "hits": cls.hit,
-        "cold": cls.cold,
-        "replacement": cls.replacement,
-        "true_sharing": cls.true_sharing,
-        "false_sharing": cls.false_sharing,
-        "upgrade": cls.upgrade,
-        "l2_hits": cls.l2_hit,
-        "remote": miss_remote,
-        "local_miss": miss_local,
-    }
+def _cell_classes() -> np.ndarray:
+    """Every access lands in exactly one *cell*: a plain or an upgrading
+    hit, or a miss of one kind (cold, replacement, true or false
+    sharing) served from one place (L2, local or remote memory).  Row
+    ``c`` marks the classes of ``_MISS_CLASSES`` that cell ``c`` counts
+    towards, so one ``np.bincount`` over cells counts every class."""
+    m = np.zeros((14, len(_MISS_CLASSES)), dtype=np.int64)
+    col = _MISS_CLASSES.index
+    m[[0, 1], col("hits")] = 1
+    m[1, col("upgrade")] = 1
+    for kind, name in enumerate(
+            ("cold", "replacement", "true_sharing", "false_sharing")):
+        for served, where in enumerate(("l2_hits", "local_miss", "remote")):
+            m[2 + 3 * kind + served, [col(name), col(where)]] = 1
+    return m
+
+
+_CELL_CLASSES = _cell_classes()
+_NCELLS = len(_CELL_CLASSES)
+
+
+def _cells(cls, local: np.ndarray) -> np.ndarray:
+    """The cell of every access (see :func:`_cell_classes`), as uint8."""
+    def u8(flags):
+        return flags.view(np.uint8)
+
+    kind = u8(cls.replacement) + 2 * u8(cls.true_sharing) \
+        + 3 * u8(cls.false_sharing)
+    served = np.where(cls.l2_hit, 0, 2 - u8(local))
+    return np.where(cls.hit, u8(cls.upgrade), 2 + 3 * kind + served)
+
+
+def _class_counts(cells: np.ndarray) -> Dict[str, np.ndarray]:
+    """Per-row counts of accesses and of every class, from an array of
+    per-row cell counts (rows are processors or arrays)."""
+    by_class = cells @ _CELL_CLASSES
+    out = {"accesses": cells.sum(axis=1)}
+    out.update((name, by_class[:, j]) for j, name in enumerate(_MISS_CLASSES))
+    return out
 
 
 def simulate(
@@ -138,53 +175,74 @@ def _simulate_impl(
             locality=locality_dict,
         )
 
-    proc = np.concatenate([t.proc for t in traces])
-    addr = np.concatenate([t.addr for t in traces])
-    write = np.concatenate([t.write for t in traces])
-    # Phases are contiguous ranges of the round's stream.
-    bounds = np.cumsum([0] + [t.n_accesses for t in traces]).tolist()
+    nprocs = spmd.nprocs
+    n = sum(t.n_accesses for t in traces)
+    # Integer per-processor cell counts, per round and phase: cycles
+    # are computed from them once per phase, after the sweep.
+    tallies = np.zeros((rounds, len(traces), nprocs * _NCELLS),
+                       dtype=np.int64)
+    if detail:
+        # Per-array classes over the whole simulated stream: arrays are
+        # laid out contiguously, so the owning array of an address is a
+        # binary search over the sorted base addresses.
+        names = sorted(space.bases, key=lambda nm: space.bases[nm])
+        starts = np.array([space.bases[nm] for nm in names], dtype=np.int64)
+        by_array = np.zeros(len(names) * _NCELLS, dtype=np.int64)
+        nsets = machine.cache.nsets
+        occ = np.zeros(nsets, dtype=np.int64)
+    # Home cluster per page (-1 = untouched): first touch happens in the
+    # cold round, so the steady round reads the homes it fixed.
+    last_page = max(int(t.addr.max()) for t in traces
+                    if t.n_accesses) // machine.numa.page_bytes
+    homes = np.full(last_page + 1, -1, dtype=np.int64)
 
     # The classification sweep is its own wall-time ledger anchor: it
     # dominates simulate() for large streams and must be attributable
-    # separately from the per-phase cost loop below.
-    with obs.span("sim.classify", cat="machine",
-                  accesses=int(len(addr)) * rounds):
+    # separately from the per-phase cost loop below.  Each round walks
+    # the phases in order and each phase in chunks, carrying the
+    # cache/coherence state from chunk to chunk and round to round;
+    # chunks stop at phase boundaries, so every chunk's counts belong
+    # to exactly one phase.
+    with obs.span("sim.classify", cat="machine", accesses=n * rounds):
         faults.maybe_sim_stall()
         state = CoherenceState()
-        classes = [
-            classify_accesses(
-                proc, addr, write, machine.cache,
-                word_bytes=machine.word_bytes, l2=machine.l2, state=state,
-            )
-            for _ in range(rounds)
-        ]
-        # First touch happens in the cold round, so the steady round
-        # homes every page identically.
-        local = local_miss_mask(addr, proc, machine.numa)
+        for r in range(rounds):
+            for k, t in enumerate(traces):
+                for lo in range(0, t.n_accesses, CHUNK):
+                    proc, addr, write = (a[lo:lo + CHUNK]
+                                         for a in (t.proc, t.addr, t.write))
+                    cls = classify_accesses(
+                        proc, addr, write, machine.cache,
+                        word_bytes=machine.word_bytes, l2=machine.l2,
+                        state=state,
+                    )
+                    cell = _cells(
+                        cls, local_miss_mask(addr, proc, machine.numa, homes))
+                    tallies[r, k] += np.bincount(proc * _NCELLS + cell,
+                                                 minlength=tallies.shape[2])
+                    if detail:
+                        aidx = np.searchsorted(starts, addr, side="right") - 1
+                        by_array += np.bincount(aidx * _NCELLS + cell,
+                                                minlength=len(by_array))
+                        # Conflict pressure: which cache sets the
+                        # replacement misses land on.
+                        sets = (addr // machine.cache.line_bytes) % nsets
+                        occ += np.bincount(sets[cls.replacement],
+                                           minlength=nsets)
+    counts = [[_class_counts(c.reshape(nprocs, _NCELLS)) for c in phases]
+              for phases in tallies]
 
     params = machine.cost
-    nprocs = spmd.nprocs
     phase_costs: List[PhaseCost] = []
     round_time = [0.0, 0.0]
-    masks = []  # per round: miss class -> flags
-    for cls in classes:
-        miss = cls.miss & ~cls.l2_hit  # L2-served misses never reach memory
-        masks.append(_class_masks(cls, miss & local, miss & ~local))
-    breakdown = {
-        name: sum(int(m[name].sum()) for m in masks)
-        for name in _MISS_CLASSES if name != "hits"
-    }
-
-    for r, (cls, m) in enumerate(zip(classes, masks)):
+    for r, phases in enumerate(counts):
         steady = r == rounds - 1
-        for k, t in enumerate(traces):
+        for k, (t, c) in enumerate(zip(traces, phases)):
             with obs.span("sim.phase", cat="machine", nest=t.nest_name,
                           round="steady" if steady else "cold") as psp:
-                sl = slice(bounds[k], bounds[k + 1])
                 cycles = per_proc_cycles(
-                    proc[sl], cls.hit[sl], m["local_miss"][sl],
-                    m["remote"][sl], nprocs, params,
-                    upgrade=cls.upgrade[sl], l2_hit=cls.l2_hit[sl],
+                    c["accesses"], c["hits"], c["local_miss"], c["remote"],
+                    params, upgrade=c["upgrade"], l2_hit=c["l2_hits"],
                 )
                 pc = phase_time(
                     nest_name=t.nest_name,
@@ -200,15 +258,18 @@ def _simulate_impl(
                 round_time[r] += pc.time * freq
                 if steady:
                     # Steady-round miss classes become the phase profile.
-                    pc.misses = {
-                        name: int(f[sl].sum()) for name, f in m.items()
-                    }
+                    pc.misses = {name: int(c[name].sum())
+                                 for name in _MISS_CLASSES}
                     pc.misses["accesses"] = t.n_accesses
                     phase_costs.append(pc)
                     psp.set(time=pc.time, compute=pc.compute_max,
                             sync=pc.sync)
                     for name, v in pc.misses.items():
                         psp.add(name, v)
+    breakdown = {
+        name: sum(int(c[name].sum()) for phases in counts for c in phases)
+        for name in _MISS_CLASSES if name != "hits"
+    }
 
     steps = max(1, prog.time_steps)
     if rounds == 2:
@@ -226,31 +287,17 @@ def _simulate_impl(
     array_breakdown: Dict[str, Dict[str, int]] = {}
     conflict: Dict[str, object] = {}
     if detail:
-        # Per-array classes over the whole simulated stream: arrays are
-        # laid out contiguously, so the owning array of an address is a
-        # binary search over the sorted base addresses.
-        names = sorted(space.bases, key=lambda nm: space.bases[nm])
-        starts = np.array([space.bases[nm] for nm in names], dtype=np.int64)
-        aidx = np.searchsorted(starts, addr, side="right") - 1
+        per_array = _class_counts(by_array.reshape(len(names), _NCELLS))
         for j, nm in enumerate(names):
-            am = aidx == j
-            cnt = int(am.sum())
-            if not cnt:
-                continue
-            ab = {name: sum(int((rm[name] & am).sum()) for rm in masks)
-                  for name in _MISS_CLASSES}
-            ab["accesses"] = cnt * rounds
-            array_breakdown[nm] = ab
-        # Conflict pressure: which cache sets the replacement misses
-        # land on (a skewed occupancy is the power-of-two aliasing
-        # signature the paper's data transform removes).
-        nsets = machine.cache.nsets
-        sets = (addr // machine.cache.line_bytes) % nsets
-        occ = sum(np.bincount(sets[cls.replacement], minlength=nsets)
-                  for cls in classes)
-        # Rank by (-count, set index): plain argsort[::-1] orders
-        # equal-count sets by *descending* index, which made stored
-        # results and snapshots byte-unstable across numpy sort quirks.
+            if per_array["accesses"][j]:
+                array_breakdown[nm] = {
+                    name: int(per_array[name][j])
+                    for name in _MISS_CLASSES + ("accesses",)}
+        # A skewed set occupancy is the power-of-two aliasing signature
+        # the paper's data transform removes.  Rank by (-count, set
+        # index): plain argsort[::-1] orders equal-count sets by
+        # *descending* index, which made stored results and snapshots
+        # byte-unstable across numpy sort quirks.
         top = np.lexsort((np.arange(len(occ)), -occ))[:8]
         conflict = {
             "nsets": int(nsets),
@@ -269,7 +316,7 @@ def _simulate_impl(
         time_steps=steps,
         phase_costs=phase_costs,
         miss_breakdown=breakdown,
-        n_accesses=int(len(addr)),
+        n_accesses=n,
         array_breakdown=array_breakdown,
         numa=numa,
         conflict_sets=conflict,

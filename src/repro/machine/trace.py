@@ -176,6 +176,54 @@ def phase_trace(
     space: AddressSpace,
 ) -> PhaseTrace:
     """Build the merged, program-ordered access trace of one phase."""
+    nest = phase.nest
+    # The enumeration cache and per-reference temporaries die with the
+    # helper's frame; only the per-reference columns come back.
+    keys, addrs, writes, procs = _reference_columns(spmd, phase, space)
+    if not keys:
+        empty = np.zeros(0, dtype=np.int64)
+        return PhaseTrace(
+            nest_name=nest.name, key=empty, addr=empty,
+            write=np.zeros(0, dtype=bool), proc=empty,
+            sync_after=phase.sync_after.value, pipelined=phase.pipelined,
+            barriers=phase.barriers_per_execution, nprocs=spmd.nprocs,
+        )
+
+    # Each column is concatenated, its per-reference parts released,
+    # and gathered into program order before the next one is built, so
+    # at most one column is ever held both unsorted and sorted.
+    key = np.concatenate(keys)
+    keys.clear()
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    addr = _gathered(addrs, order)
+    write = _gathered(writes, order)
+    proc = _gathered(procs, order)
+    return PhaseTrace(
+        nest_name=nest.name,
+        key=key,
+        addr=addr,
+        write=write,
+        proc=proc,
+        sync_after=phase.sync_after.value,
+        pipelined=phase.pipelined,
+        barriers=phase.barriers_per_execution,
+        nprocs=spmd.nprocs,
+    )
+
+
+def _gathered(parts: List[np.ndarray], order: np.ndarray) -> np.ndarray:
+    """``parts`` concatenated (and emptied), then permuted by ``order``."""
+    col = np.concatenate(parts)
+    parts.clear()
+    return col[order]
+
+
+def _reference_columns(
+    spmd: SpmdProgram, phase: SpmdPhase, space: AddressSpace,
+) -> Tuple[List[np.ndarray], ...]:
+    """Per-reference (key, addr, write, proc) columns of one phase, in
+    statement-then-reference order (not yet in program order)."""
     prog = spmd.program
     params = prog.params
     nest = phase.nest
@@ -225,35 +273,11 @@ def phase_trace(
             if ref.array.name in space.replicated_stride:
                 byte = byte + owner * space.replicated_stride[ref.array.name]
             keys.append(key + rpos)
-            addrs.append(byte.astype(np.int64))
+            addrs.append(byte.astype(np.int64, copy=False))
             writes.append(np.full(n, is_write))
             procs.append(owner)
 
-    if not keys:
-        empty = np.zeros(0, dtype=np.int64)
-        return PhaseTrace(
-            nest_name=nest.name, key=empty, addr=empty,
-            write=np.zeros(0, dtype=bool), proc=empty,
-            sync_after=phase.sync_after.value, pipelined=phase.pipelined,
-            barriers=phase.barriers_per_execution, nprocs=spmd.nprocs,
-        )
-
-    key = np.concatenate(keys)
-    addr = np.concatenate(addrs)
-    write = np.concatenate(writes)
-    proc = np.concatenate(procs)
-    order = np.argsort(key, kind="stable")
-    return PhaseTrace(
-        nest_name=nest.name,
-        key=key[order],
-        addr=addr[order],
-        write=write[order],
-        proc=proc[order],
-        sync_after=phase.sync_after.value,
-        pipelined=phase.pipelined,
-        barriers=phase.barriers_per_execution,
-        nprocs=spmd.nprocs,
-    )
+    return keys, addrs, writes, procs
 
 
 def program_traces(spmd: SpmdProgram, page_bytes: int = 4096) -> Tuple[

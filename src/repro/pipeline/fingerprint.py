@@ -18,6 +18,7 @@ values — which is stable across repeated builds of the same source.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.decomp.model import Decomposition
@@ -30,6 +31,7 @@ __all__ = [
     "fingerprint_program",
     "fingerprint_decomposition",
     "make_key",
+    "source_version",
 ]
 
 _SEP = b"\x1f"  # unit separator: cannot appear in the ascii tokens below
@@ -152,3 +154,13 @@ def make_key(components: Iterable[str]) -> str:
     h = hashlib.sha256()
     _feed(h, *components)
     return h.hexdigest()
+
+
+def source_version(package_dir: Path, prefix: str) -> str:
+    """Version of the code in one package directory: ``prefix`` plus a
+    SHA-256 over its sorted ``*.py`` sources (names and bytes), so any
+    edit to the package gives a new version."""
+    h = hashlib.sha256()
+    for path in sorted(Path(package_dir).glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return prefix + h.hexdigest()[:16]

@@ -334,8 +334,8 @@ def point_key(point: GridPoint, kind: str = "sim", prog=None,
               **extras) -> str:
     """The persistent-store key of a point's result: SHA-256 over
     program fingerprint x scheme x procs x machine fingerprint x model
-    version (plus the ``kind`` namespace and any payload-shaping
-    flags)."""
+    version x compiler version (plus the ``kind`` namespace and any
+    payload-shaping flags)."""
     if prog is None:
         prog = point_program(point)
     machine = point_machine(point, prog)

@@ -13,8 +13,11 @@ pass                      inputs                   output artifact
 ========================  =======================  ====================
 
 Each pass carries a ``version`` string that participates in its cache
-key, so changing a pass implementation invalidates exactly its own (and
-downstream) cached artifacts.  Keys are content-addressed: they start
+key: a digest of the sources of the package that implements it
+(:func:`~repro.pipeline.fingerprint.source_version`), so editing a pass
+implementation invalidates exactly its own (and downstream) cached
+artifacts, and :func:`compiler_version` folds the versions into every
+stored result's key.  Keys are content-addressed: they start
 from the fingerprint of the *source* program handed to the session, so
 any two structurally identical programs share artifacts.
 """
@@ -22,6 +25,7 @@ any two structurally identical programs share artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
@@ -30,7 +34,7 @@ from repro.codegen.spmd import Scheme, derive_program_layout, generate_spmd
 from repro.decomp.folding import grid_shape
 from repro.decomp.greedy import decompose_program
 from repro.ir.program import Program
-from repro.pipeline.fingerprint import make_key
+from repro.pipeline.fingerprint import make_key, source_version
 
 __all__ = [
     "ART_PROGRAM",
@@ -47,6 +51,7 @@ __all__ = [
     "SpmdCodegenPass",
     "VerifyPass",
     "ALL_PASSES",
+    "compiler_version",
 ]
 
 # Artifact kind names (the vocabulary of Pass.inputs / Pass.output).
@@ -56,6 +61,13 @@ ART_DECOMPOSITION = "decomposition"
 ART_LAYOUT = "layout"
 ART_SPMD = "spmd"
 ART_VERIFY = "verify.report"
+
+_REPRO = Path(__file__).resolve().parent.parent
+
+
+def _package_version(package: str) -> str:
+    """The version of a pass implemented by ``repro/<package>``."""
+    return source_version(_REPRO / package, f"{package}-")
 
 
 @dataclass
@@ -117,7 +129,7 @@ class RestructurePass(Pass):
     expose the largest outermost parallel band.  Scheme-independent."""
 
     name = "restructure"
-    version = "1"
+    version = _package_version("analysis")
     inputs = (ART_PROGRAM,)
     output = ART_RESTRUCTURED
 
@@ -156,7 +168,7 @@ class DecomposePass(Pass):
     decomposition at one processor count shares a single artifact."""
 
     name = "decompose"
-    version = "1"
+    version = _package_version("decomp")
     inputs = (ART_RESTRUCTURED,)
     output = ART_DECOMPOSITION
 
@@ -178,7 +190,7 @@ class LayoutPass(Pass):
     decomposition schemes; BASE keeps identity layouts."""
 
     name = "layout"
-    version = "1"
+    version = _package_version("datatrans")
     inputs = (ART_RESTRUCTURED, ART_DECOMPOSITION)
     output = ART_LAYOUT
 
@@ -209,7 +221,7 @@ class SpmdCodegenPass(Pass):
     """SPMD plan generation for one (scheme, nprocs) point."""
 
     name = "spmd"
-    version = "1"
+    version = _package_version("codegen")
     inputs = (ART_RESTRUCTURED, ART_DECOMPOSITION, ART_LAYOUT)
     output = ART_SPMD
 
@@ -241,7 +253,7 @@ class VerifyPass(Pass):
     fully-cached compile, because *it* is the guardrail."""
 
     name = "verify"
-    version = "1"
+    version = _package_version("verify")
     inputs = (ART_PROGRAM, ART_SPMD)
     output = ART_VERIFY
 
@@ -257,3 +269,11 @@ class VerifyPass(Pass):
 
 ALL_PASSES = (RestructurePass, DecomposePass, LayoutPass, SpmdCodegenPass,
               VerifyPass)
+
+
+def compiler_version() -> str:
+    """The compiler's part of a result key: the current versions of the
+    passes whose artifacts a result is computed from.  Applications are
+    left out; the program fingerprint already covers them."""
+    passes = (RestructurePass, DecomposePass, LayoutPass, SpmdCodegenPass)
+    return "cc-" + make_key(p.version for p in passes)[:16]

@@ -14,6 +14,10 @@ outcome —
   — full cache/L2/NUMA/cost geometry);
 * the **model version** (:data:`MODEL_VERSION`, a digest of the
   simulator's sources, so any edit to ``repro/machine`` re-keys);
+* the **compiler version**
+  (:func:`repro.pipeline.passes.compiler_version`, the digests of the
+  compiler passes' packages, so an edit to ``repro/analysis``,
+  ``decomp``, ``datatrans`` or ``codegen`` re-keys);
 * a ``kind`` namespace (``sim`` results, ``verify`` verdicts, ``bench``
   detail blocks) plus any extra flags that shape the payload.
 
@@ -65,7 +69,8 @@ from typing import Any, Dict, Iterable, Optional
 
 from repro import obs
 from repro.errors import LockError
-from repro.pipeline.fingerprint import make_key
+from repro.pipeline.fingerprint import make_key, source_version
+from repro.pipeline.passes import compiler_version
 from repro.util.atomicio import quarantine, write_atomic
 from repro.util.locking import FileLock
 
@@ -91,10 +96,7 @@ def model_version(machine_dir: Optional[Path] = None) -> str:
     generation) makes every stored result unreachable, so a warm store
     never serves results of an older simulator."""
     root = machine_dir or Path(__file__).resolve().parent.parent / "machine"
-    h = hashlib.sha256()
-    for path in sorted(root.glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
-    return "sim-" + h.hexdigest()[:16]
+    return source_version(root, "sim-")
 
 
 MODEL_VERSION = model_version()
@@ -144,12 +146,14 @@ def result_key(
     machine_fp: str,
     model_version: str = MODEL_VERSION,
     kind: str = "sim",
+    compiler: Optional[str] = None,
     **extras: Any,
 ) -> str:
-    """The SHA-256 store key of one grid point's result."""
+    """The SHA-256 store key of one grid point's result.  ``compiler``
+    defaults to the running compiler's :func:`compiler_version`."""
     parts = [
-        "result", kind, model_version, program_fp, scheme, str(nprocs),
-        machine_fp,
+        "result", kind, model_version, compiler or compiler_version(),
+        program_fp, scheme, str(nprocs), machine_fp,
     ]
     for name in sorted(extras):
         parts.append(f"{name}={extras[name]}")

@@ -86,10 +86,12 @@ def verify_grid(
     With a ``store``, each point's verdict is looked up under its
     ``verify`` key first and ok verdicts are written back — verified
     points whose program/machine/model key is unchanged are served
-    without re-running the oracle.
+    without re-running the oracle.  The key includes the oracle's own
+    version, so an edit to ``repro/verify`` re-verifies every point.
     """
     from repro.codegen.spmd import parse_scheme
     from repro.pipeline.grid import GridSpec, point_key
+    from repro.pipeline.passes import VerifyPass
     from repro.pipeline.session import CompileSession
 
     session = session or CompileSession()
@@ -105,7 +107,8 @@ def verify_grid(
         key = None
         if store is not None:
             try:
-                key = point_key(point, kind="verify")
+                key = point_key(point, kind="verify",
+                                oracle=VerifyPass.version)
             except Exception:
                 # An unbuildable point cannot be keyed; verify_point
                 # below reports the compile failure as a failed result.

@@ -31,6 +31,32 @@ class TestNuma:
         )
         assert len(page) == 0
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_carried_homes_equal_monolithic(self, seed):
+        """Homing a random page stream chunk by chunk, carrying the
+        homes array, gives exactly the monolithic first-touch homes;
+        a second pass over the stream (the steady round) reads them."""
+        rng = np.random.default_rng(seed)
+        cfg = NumaConfig(page_bytes=int(rng.choice([16, 64, 512])),
+                         cluster_size=int(rng.integers(1, 4)))
+        n = int(rng.integers(1, 400))
+        addr = rng.integers(0, 40 * cfg.page_bytes, n)
+        proc = rng.integers(0, 9, n)
+        page, want = first_touch_homes(addr, proc, cfg)
+        cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, 6))))
+        homes = np.full(int(addr.max()) // cfg.page_bytes + 1, -1)
+        for _ in range(2):
+            parts = [first_touch_homes(addr[a:b], proc[a:b], cfg, homes)
+                     for a, b in zip([0, *cuts], [*cuts, n])]
+            assert np.concatenate([pg for pg, _ in parts]).tolist() \
+                == page.tolist()
+            assert np.concatenate([h for _, h in parts]).tolist() \
+                == want.tolist()
+            local = np.concatenate([
+                local_miss_mask(addr[a:b], proc[a:b], cfg, homes)
+                for a, b in zip([0, *cuts], [*cuts, n])])
+            assert local.tolist() == local_miss_mask(addr, proc, cfg).tolist()
+
     def test_cluster_of(self):
         cfg = NumaConfig(cluster_size=4)
         assert cfg.cluster_of(np.array([0, 3, 4, 31])).tolist() == [0, 0, 1, 7]
@@ -50,7 +76,8 @@ class TestCostParams:
         mloc = np.array([False, True, False, False])
         mrem = np.array([False, False, True, False])
         upg = np.array([False, False, False, True])
-        out = per_proc_cycles(proc, hit, mloc, mrem, 2, p, upgrade=upg)
+        acc, hits, loc, rem, up = _counts(proc, 2, None, hit, mloc, mrem, upg)
+        out = per_proc_cycles(acc, hits, loc, rem, p, upgrade=up)
         assert out[0] == 2 * 2 + 1 + 30
         assert out[1] == 2 * 2 + 1 + 100 + 50
 
@@ -60,9 +87,65 @@ class TestCostParams:
         hit = np.ones(2, dtype=bool)
         z = np.zeros(2, dtype=bool)
         upg = np.ones(2, dtype=bool)
-        a = per_proc_cycles(proc, hit, z, z, 1, p, upgrade=upg)
-        b = per_proc_cycles(proc, hit, z, z, 1, p)
+        acc, hits, zc, up = _counts(proc, 1, None, hit, z, upg)
+        a = per_proc_cycles(acc, hits, zc, zc, p, upgrade=up)
+        b = per_proc_cycles(acc, hits, zc, zc, p)
         assert np.allclose(a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_count_form_equals_flag_form(self, seed):
+        """Cycles from per-processor counts are bit-identical to the
+        per-access flag form the simulator used before it counted
+        chunk by chunk (same float expression order)."""
+        rng = np.random.default_rng(seed)
+        nprocs = int(rng.integers(1, 6))
+        n = int(rng.integers(0, 200))
+        proc = rng.integers(0, nprocs, n)
+        hit, mloc, mrem, upg, l2 = (rng.random((5, n)) < 0.3)
+        p = CostParams(*rng.uniform(0.1, 150.0, 6))
+        for with_l2 in (False, True):
+            for with_upg in (False, True):
+                kw = dict(upgrade=upg if with_upg else None,
+                          l2_hit=l2 if with_l2 else None)
+                want = _flag_form_cycles(proc, hit, mloc, mrem, nprocs, p,
+                                         **kw)
+                counts = {k: None if f is None else _counts(
+                    proc, nprocs, f)[0] for k, f in kw.items()}
+                acc, hits, loc, rem = _counts(proc, nprocs, None, hit,
+                                              mloc, mrem)
+                got = per_proc_cycles(acc, hits, loc, rem, p, **counts)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def _counts(proc, nprocs, *flags):
+    """The count form of per-access flags (None = every access): each
+    flag's per-processor ``np.bincount``."""
+    return [np.bincount(proc if f is None else proc[f], minlength=nprocs)
+            for f in flags]
+
+
+def _flag_form_cycles(proc, hit, miss_local, miss_remote, nprocs, params,
+                      upgrade=None, l2_hit=None):
+    """The per-access flag form of the cycle count, as the simulator
+    computed it over a whole phase slice."""
+    base = np.bincount(proc, minlength=nprocs).astype(np.float64)
+    hits = np.bincount(proc[hit], minlength=nprocs).astype(np.float64)
+    loc = np.bincount(proc[miss_local], minlength=nprocs).astype(np.float64)
+    rem = np.bincount(proc[miss_remote], minlength=nprocs).astype(np.float64)
+    out = (
+        base * params.cpu_per_access
+        + hits * params.l1_hit
+        + loc * params.local_miss
+        + rem * params.remote_miss
+    )
+    if l2_hit is not None:
+        l2 = np.bincount(proc[l2_hit], minlength=nprocs).astype(np.float64)
+        out += l2 * params.l2_hit
+    if upgrade is not None and nprocs > 1:
+        upg = np.bincount(proc[upgrade], minlength=nprocs).astype(np.float64)
+        out += upg * params.upgrade
+    return out
 
 
 class TestPhaseTime:

@@ -1,13 +1,23 @@
 """Tests for the whole-program simulation driver."""
 
+import functools
+import importlib
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.apps import simple, stencil5
+from repro.apps import lu, simple, stencil5
 from repro.codegen.spmd import Scheme
 from repro.compiler import compile_program
 from repro.machine import scaled_dash
+from repro.machine.cache import CacheConfig
 from repro.machine.simulate import simulate, simulate_scheme, speedup_curve
+
+# ``repro.machine`` re-exports the simulate *function* under the
+# submodule's name; CHUNK is patched on the module itself.
+sim_module = importlib.import_module("repro.machine.simulate")
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +165,97 @@ class TestSpeedupCurve:
         cd = curves[Scheme.COMP_DECOMP.value][0][1]
         cdd = curves[Scheme.COMP_DECOMP_DATA.value][0][1]
         assert cdd >= cd * 0.95
+
+
+def _whole(res):
+    """Every field of a detailed SimResult, as exactly comparable
+    plain values (floats compared bit for bit)."""
+    return (
+        res.total_time, res.round_times, res.time_steps, res.n_accesses,
+        res.miss_breakdown, res.numa, res.array_breakdown,
+        res.conflict_sets,
+        [(pc.nest_name, pc.time, pc.compute_max, pc.sync,
+          pc.per_proc_cycles.tolist(), pc.misses)
+         for pc in res.phase_costs],
+    )
+
+
+def _two_way(m):
+    c = m.cache
+    return replace(m, cache=CacheConfig(c.size_bytes, c.line_bytes, assoc=2))
+
+
+def small_cache(p):
+    """A 512-byte L1: replacement misses even at n=12."""
+    return scaled_dash(p, scale=128, word_bytes=4)
+
+
+# name -> (program, scheme, P, machine).  simple has two phases; the
+# 512-byte pages make a stencil page's first touch straddle chunks.
+CHUNK_CASES = {
+    "simple-T1": (lambda: simple.build(n=12, time_steps=1),
+                  Scheme.COMP_DECOMP, 8, machine),
+    "simple-T3-l2": (lambda: simple.build(n=12, time_steps=3),
+                     Scheme.BASE, 8, lambda p: small_cache(p).with_l2()),
+    "simple-T2-2way": (lambda: simple.build(n=12, time_steps=2),
+                       Scheme.BASE, 8, lambda p: _two_way(small_cache(p))),
+    "stencil5-page512": (lambda: stencil5.build(n=16, time_steps=2),
+                         Scheme.COMP_DECOMP, 8,
+                         lambda p: scaled_dash(p, scale=32, word_bytes=4,
+                                               page_bytes=512)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _default_chunk_run(case):
+    build, scheme, p, make_machine = CHUNK_CASES[case]
+    spmd = compile_program(build(), scheme, p)
+    m = make_machine(p)
+    return spmd, m, _whole(simulate(spmd, m, detail=True))
+
+
+class TestChunkedRounds:
+    @pytest.mark.parametrize("case", sorted(CHUNK_CASES))
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+    def test_chunk_size_never_changes_the_result(self, case, chunk,
+                                                 monkeypatch):
+        """Walking each phase in chunks of any size gives exactly the
+        result of the default chunk (one chunk per phase here)."""
+        spmd, m, want = _default_chunk_run(case)
+        assert max(len(t.addr) for t in
+                   sim_module.program_traces(spmd, m.numa.page_bytes)[1]
+                   ) < sim_module.CHUNK
+        monkeypatch.setattr(sim_module, "CHUNK", chunk)
+        assert _whole(simulate(spmd, m, detail=True)) == want
+
+    def test_cases_exercise_numa_and_sharing(self):
+        """The chunked cases are not vacuous: pages are homed remotely
+        and both sharing classes occur somewhere."""
+        results = {case: _default_chunk_run(case)[2][4]
+                   for case in CHUNK_CASES}
+        assert results["stencil5-page512"]["remote"] > 0
+        assert any(r["false_sharing"] for r in results.values())
+        assert any(r["true_sharing"] for r in results.values())
+        assert results["simple-T3-l2"]["l2_hits"] > 0
+        assert results["simple-T2-2way"]["replacement"] > 0
+
+    def test_simulate_memory_is_trace_plus_chunk(self, monkeypatch):
+        """simulate holds the resident trace plus O(CHUNK) classifier
+        temporaries: at most 64 B per simulated access at LU n=64 P=32
+        (classifying a whole round at once took about 142 B)."""
+        monkeypatch.setattr(sim_module, "CHUNK", 1 << 14)
+        spmd = compile_program(lu.build(n=64), Scheme.COMP_DECOMP, 32)
+        m = scaled_dash(32, scale=16, word_bytes=8)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            res = simulate(spmd, m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert res.n_accesses > 64 * (1 << 14) // 4
+        assert peak / res.n_accesses <= 64

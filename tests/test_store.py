@@ -76,6 +76,7 @@ class TestResultKey:
         dict(nprocs=8),
         dict(machine_fp="other"),
         dict(model_version="sim-v999"),
+        dict(compiler="cc-v999"),
         dict(kind="verify"),
     ])
     def test_every_component_matters(self, kwargs):
@@ -107,6 +108,49 @@ class TestResultKey:
         assert edited != MODEL_VERSION
         assert result_key("p", "comp", 4, "m", model_version=edited) \
             != result_key("p", "comp", 4, "m")
+
+    @pytest.mark.parametrize("pass_cls, package", [
+        ("RestructurePass", "analysis"), ("DecomposePass", "decomp"),
+        ("LayoutPass", "datatrans"), ("SpmdCodegenPass", "codegen"),
+    ])
+    def test_pass_versions_track_their_package_sources(
+            self, tmp_path, monkeypatch, pass_cls, package):
+        """An edit to one compiler pass's package changes that pass's
+        version, its artifact cache key and every grid point's result
+        key; an unchanged copy keeps them."""
+        import repro
+        from repro.codegen.spmd import Scheme
+        from repro.pipeline import passes
+        from repro.pipeline.fingerprint import source_version
+        from repro.pipeline.grid import GridPoint, point_key
+
+        cls = getattr(passes, pass_cls)
+        copy = tmp_path / package
+        shutil.copytree(Path(repro.__file__).parent / package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_version(copy, f"{package}-") == cls.version
+        src = sorted(copy.glob("*.py"))[-1]
+        src.write_text(src.read_text() + "# edited\n")
+        edited = source_version(copy, f"{package}-")
+        assert edited != cls.version
+
+        ctx = passes.PassContext(program=None, program_fp="pfp",
+                                 scheme=Scheme.COMP_DECOMP, nprocs=4)
+        point = GridPoint("simple", "comp", 4, n=8)
+        before = (cls().cache_key(ctx), passes.compiler_version(),
+                  point_key(point))
+        monkeypatch.setattr(cls, "version", edited)
+        after = (cls().cache_key(ctx), passes.compiler_version(),
+                 point_key(point))
+        assert all(a != b for a, b in zip(before, after))
+
+    def test_compiler_version_default(self):
+        from repro.pipeline.passes import compiler_version
+
+        assert result_key("p", "comp", 4, "m") == result_key(
+            "p", "comp", 4, "m", compiler=compiler_version())
+        assert result_key("p", "comp", 4, "m") != result_key(
+            "p", "comp", 4, "m", compiler="cc-other")
 
 
 # -- directory resolution ----------------------------------------------------
